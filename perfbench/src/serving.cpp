@@ -28,12 +28,21 @@ struct Spec {
   Request req;
   double limit_s = 0;  ///< on-time limit from the scheduled send
   bool streamed = false;
+  /// Enters latency_p50_ms / latency_p90_ms. On cluster_mixed only the
+  /// gold rows do: one op at one size, so the percentiles do not fall
+  /// between the latencies of different kinds, where they jump.
+  bool timed = true;
 };
+
+/// Request `idx` of stream `stream` under `seed`.
+using MakeFn = Spec (*)(std::uint64_t seed, std::uint64_t stream, std::uint64_t idx);
 
 struct Workload {
   double rate;        ///< phase A arrivals per second
+  double open_share;  ///< share of a round given to phase A
   std::size_t burst;  ///< phase B requests queued at once
-  Spec (*make)(std::uint64_t seed, std::uint64_t stream, std::uint64_t idx);
+  MakeFn make_open;   ///< phase A requests
+  MakeFn make_burst;  ///< phase B requests
   /// Set-up traffic: each group is queued at once and awaited.
   std::vector<std::vector<Spec>> (*warmup)(std::uint64_t seed);
 };
@@ -111,8 +120,8 @@ Spec mixed_of_kind(int kind, ascend::Rng& rng) {
   }
 }
 
-/// Every block of 40 consecutive requests holds exactly 24 gold rows, 10
-/// long rows, 4 segmented rows, one sort and one top-p draw, in a seeded
+/// Every block of 40 consecutive burst requests holds exactly 24 gold rows,
+/// 10 long rows, 4 segmented rows, one sort and one top-p draw, in a seeded
 /// order: a burst's mix, and so its work, does not vary with the seed.
 constexpr int kBlock[] = {kGold, kGold, kGold, kGold, kGold, kGold, kGold, kGold,
                           kGold, kGold, kGold, kGold, kGold, kGold, kGold, kGold,
@@ -121,16 +130,36 @@ constexpr int kBlock[] = {kGold, kGold, kGold, kGold, kGold, kGold, kGold, kGold
                           kLong, kLong, kSegmented, kSegmented, kSegmented,
                           kSegmented, kSort, kTopP};
 
-Spec mixed_request(std::uint64_t seed, std::uint64_t stream, std::uint64_t idx) {
-  constexpr std::uint64_t n = std::size(kBlock);
+/// The open loop sends the same rows without the sort and the top-p draw,
+/// the first 38 kinds of kBlock. With them, each device spent ~30% of its
+/// time in ops no request can join; gold p90 fell inside the wait behind
+/// them and moved 1.5 times as much as the host's speed, and when a
+/// neighbour took CPU time the queue ran away (p50 14-300 ms in 3 of 10
+/// runs). At 1% of the arrivals they left p90 where waiting rows thin out
+/// (2.4-48 ms over five runs). They still block the queue in the bursts.
+constexpr std::uint64_t kOpenKinds = std::size(kBlock) - 2;
+
+/// Request `idx` of a stream whose blocks are the first `n` kinds of kBlock.
+Spec mixed_request(std::uint64_t n, std::uint64_t seed, std::uint64_t stream,
+                   std::uint64_t idx) {
   auto order = input_rng(seed, stream, ~(idx / n));
-  int block[n];
+  int block[std::size(kBlock)];
   std::copy(std::begin(kBlock), std::end(kBlock), block);
   for (std::uint64_t i = n - 1; i > 0; --i) {  // Fisher-Yates
     std::swap(block[i], block[order.next_below(i + 1)]);
   }
   auto rng = input_rng(seed, stream, idx);
-  return mixed_of_kind(block[idx % n], rng);
+  Spec s = mixed_of_kind(block[idx % n], rng);
+  s.timed = block[idx % n] == kGold;
+  return s;
+}
+
+Spec mixed_open(std::uint64_t seed, std::uint64_t stream, std::uint64_t idx) {
+  return mixed_request(kOpenKinds, seed, stream, idx);
+}
+
+Spec mixed_burst(std::uint64_t seed, std::uint64_t stream, std::uint64_t idx) {
+  return mixed_request(std::size(kBlock), seed, stream, idx);
 }
 
 /// One request of every kind.
@@ -144,9 +173,14 @@ std::vector<std::vector<Spec>> mixed_warmup(std::uint64_t seed) {
   return w;
 }
 
-constexpr Workload kServeSmall{8000.0, 10000, small_request,
+// serve_small's open loop runs at a sixth of the drain rate: at a third
+// (8,000 rps), a neighbour taking CPU time halved the drain rate and the
+// queue ran away (p50 300-600 ms in 2 of 5 runs).
+constexpr Workload kServeSmall{4000.0, 0.5, 10000, small_request, small_request,
                                small_warmup};
-constexpr Workload kClusterMixed{300.0, 1000, mixed_request,
+// Two thirds of each round open loop: gold rows are 60% of the arrivals,
+// and their p90 needs the samples.
+constexpr Workload kClusterMixed{300.0, 2.0 / 3.0, 1000, mixed_open, mixed_burst,
                                  mixed_warmup};
 
 bool check_response(const Request& req, const Response& r) {
@@ -173,6 +207,7 @@ struct Record {
   double ready = 0;      ///< collector saw the future ready
   double limit_s = 0;    ///< on-time limit (Spec::limit_s)
   bool streamed = false;
+  bool timed = true;
   std::atomic<double> first_chunk{-1};  ///< first streamed chunk
   Response resp;
 };
@@ -213,6 +248,7 @@ Phase drive(Front& front, std::size_t n, const std::vector<double>& sched,
     r.sched = sched.empty() ? 0.0 : sched[i];
     r.limit_s = spec.limit_s;
     r.streamed = spec.streamed;
+    r.timed = spec.timed;
     if (!sched.empty()) {
       std::this_thread::sleep_until(
           start + std::chrono::duration_cast<Clock::duration>(
@@ -243,17 +279,17 @@ Phase drive_burst(Front& front, std::vector<Spec> specs) {
                [&](std::size_t i) { return std::move(specs[i]); });
 }
 
-std::vector<Spec> make_specs(const Workload& w, std::uint64_t seed,
-                             std::uint64_t stream, std::size_t n) {
+std::vector<Spec> make_specs(MakeFn make, std::uint64_t seed, std::uint64_t stream,
+                             std::size_t n) {
   std::vector<Spec> s;
   s.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) s.push_back(w.make(seed, stream, i));
+  for (std::size_t i = 0; i < n; ++i) s.push_back(make(seed, stream, i));
   return s;
 }
 
 /// Checks every Ok response of a phase against its regenerated input and
 /// counts non-Ok ones as failed.
-void tally(const Workload& w, std::uint64_t seed, std::uint64_t stream,
+void tally(MakeFn make, std::uint64_t seed, std::uint64_t stream,
            const std::vector<Record>& rec, RunResult& out) {
   for (std::size_t i = 0; i < rec.size(); ++i) {
     ++out.attempted;
@@ -261,7 +297,7 @@ void tally(const Workload& w, std::uint64_t seed, std::uint64_t stream,
       ++out.failed;
       continue;
     }
-    const Spec s = w.make(seed, stream, i);
+    const Spec s = make(seed, stream, i);
     if (!check_response(s.req, rec[i].resp)) ++out.mismatches;
   }
 }
@@ -322,9 +358,10 @@ std::unique_ptr<Front> set_up(const Workload& w, const Options& opt,
 }
 
 // A run is kRounds rounds, each on a fresh front end: set-up, then phase
-// A (open loop) for half the round, then phase B (bursts) for the rest. Thread placement on the host differs from one front end to the
-// next and moves throughput by ~10%; medians over several front ends
-// repeat where one front end's figures do not.
+// A (open loop) for the workload's share of the round, then phase B
+// (bursts) for the rest. Thread placement on the host differs from one
+// front end to the next and moves throughput by ~10%; medians over several
+// front ends repeat where one front end's figures do not.
 constexpr int kRounds = 5;
 
 template <typename Front>
@@ -351,11 +388,12 @@ RunResult run_serving(const Workload& w, const Options& opt) {
     // Timing::total_s), so a late generator counts.
     const std::uint64_t stream_a = 10 + round;
     const MetricsSnapshot s0 = snapshot(*front);
-    const auto sched = poisson_schedule(mix(opt.seed) ^ round, w.rate, round_s / 2);
+    const auto sched =
+        poisson_schedule(mix(opt.seed) ^ round, w.rate, round_s * w.open_share);
     {
       std::vector<double> round_lat, ttfc_ms;
       const Phase a = drive(*front, sched.size(), sched, [&](std::size_t i) {
-        return w.make(opt.seed, stream_a, i);
+        return w.make_open(opt.seed, stream_a, i);
       });
       bool any_streamed = false;
       for (const auto& r : a.rec) any_streamed |= r.streamed;
@@ -367,7 +405,7 @@ RunResult run_serving(const Workload& w, const Options& opt) {
         if (!r.resp.ok()) continue;
         const Timing& t = r.resp.timing;
         const double lat = r.sent - r.sched + t.total_s;
-        round_lat.push_back(lat * 1e3);
+        if (r.timed) round_lat.push_back(lat * 1e3);
         if (lat <= r.limit_s) ++on_time;
         // A response that did not stream (no callback, or a stolen batch)
         // has one chunk: the whole response.
@@ -397,7 +435,8 @@ RunResult run_serving(const Workload& w, const Options& opt) {
       round_p90.push_back(percentile(round_lat, 0.9));
       round_ttfc.push_back(percentile(ttfc_ms, 0.5));
       lat_ms.insert(lat_ms.end(), round_lat.begin(), round_lat.end());
-      tally(w, opt.seed, stream_a, a.rec, out);  // outside the phase, then dropped
+      // Checked outside the phase, then dropped.
+      tally(w.make_open, opt.seed, stream_a, a.rec, out);
     }
     const MetricsSnapshot s1 = snapshot(*front);
 
@@ -405,10 +444,11 @@ RunResult run_serving(const Workload& w, const Options& opt) {
     // burst is checked after its timed drain, then dropped.
     std::map<std::pair<int, std::uint64_t>, ascan::Report> launches;
     const auto window0 = Clock::now();
-    for (std::uint64_t b = 0; b < 1 || secs(Clock::now() - window0) < round_s / 2;
+    const double drain_window_s = round_s * (1 - w.open_share);
+    for (std::uint64_t b = 0; b < 1 || secs(Clock::now() - window0) < drain_window_s;
          ++b) {
       const std::uint64_t stream = 1000 * (round + 1) + b;
-      auto specs = make_specs(w, opt.seed, stream, w.burst);
+      auto specs = make_specs(w.make_burst, opt.seed, stream, w.burst);
       double elems = 0;
       for (const auto& s : specs) elems += static_cast<double>(s.req.x.size());
       const double cpu0 = process_cpu_s();
@@ -427,7 +467,7 @@ RunResult run_serving(const Workload& w, const Options& opt) {
       }
       drained += burst.rec.size();
       drain_s += end;
-      tally(w, opt.seed, stream, burst.rec, out);
+      tally(w.make_burst, opt.seed, stream, burst.rec, out);
     }
     for (const auto& [key, rep] : launches) drain_total += rep;
     const MetricsSnapshot s2 = snapshot(*front);
