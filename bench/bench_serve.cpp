@@ -63,41 +63,57 @@ struct RunResult {
   vecref::VerifyStats verify;  ///< every Ok response checked bit-for-bit
 };
 
+/// Row `i` of client `c`'s closed loop, drawn from that client's stream.
+/// Mixed row lengths exercise the zero-padding path; all requests share a
+/// GroupKey so they stay coalescible. 0/1 rows are the exact-comparison
+/// corpus.
+std::vector<ascan::half> client_row(Rng& rng, int c, std::uint64_t i) {
+  const std::size_t n = 128 + 64 * ((i + static_cast<std::uint64_t>(c)) % 4);
+  std::vector<ascan::half> x(n);
+  for (auto& v : x) v = ascan::half(rng.bernoulli(0.5) ? 1.0f : 0.0f);
+  return x;
+}
+
+Rng client_rng(int c) { return Rng(100 + static_cast<std::uint64_t>(c)); }
+
 /// Closed loop: each client thread submits, waits for the future, repeats.
 /// Offered load is therefore bounded by `clients` outstanding requests.
 RunResult run_load(const PolicyCase& pc, int clients,
                    std::uint64_t requests_per_client) {
   Engine engine({.policy = pc.policy});
-  std::mutex verify_mu;
-  vecref::VerifyStats verify;
+  // Responses are kept and checked after the wall clock stops.
+  std::vector<std::vector<Response>> responses(
+      static_cast<std::size_t>(clients));
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      // Mixed row lengths exercise the zero-padding path; all requests
-      // share a GroupKey so they stay coalescible. Every Ok response is
-      // checked bit-for-bit against the SIMD host reference (0/1 rows:
-      // the exact-comparison corpus), so the throughput figures certify
-      // correct answers, not just resolved futures.
-      Rng rng(100 + static_cast<std::uint64_t>(c));
-      vecref::VerifyStats local;
+      Rng rng = client_rng(c);
+      auto& out = responses[static_cast<std::size_t>(c)];
+      out.reserve(requests_per_client);
       for (std::uint64_t i = 0; i < requests_per_client; ++i) {
-        const std::size_t n = 128 + 64 * ((i + static_cast<std::uint64_t>(c)) % 4);
-        std::vector<ascan::half> x(n);
-        for (auto& v : x) v = ascan::half(rng.bernoulli(0.5) ? 1.0f : 0.0f);
-        const auto input = x;
-        const auto resp = engine.submit(Request::cumsum(std::move(x))).get();
-        if (resp.ok()) vecref::verify_cumsum(input, resp.values_f16, local);
+        out.push_back(
+            engine.submit(Request::cumsum(client_row(rng, c, i))).get());
       }
-      std::lock_guard<std::mutex> lk(verify_mu);
-      verify.merge(local);
     });
   }
   for (auto& t : threads) t.join();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  // Every Ok response is checked bit-for-bit against the SIMD host
+  // reference on inputs regenerated from the client's seed, so the
+  // throughput figures certify correct answers, not just resolved futures.
+  vecref::VerifyStats verify;
+  for (int c = 0; c < clients; ++c) {
+    Rng rng = client_rng(c);
+    const auto& out = responses[static_cast<std::size_t>(c)];
+    for (std::uint64_t i = 0; i < requests_per_client; ++i) {
+      const auto input = client_row(rng, c, i);
+      if (out[i].ok()) vecref::verify_cumsum(input, out[i].values_f16, verify);
+    }
+  }
   engine.shutdown(ShutdownMode::Drain);
 
   const auto m = engine.metrics();

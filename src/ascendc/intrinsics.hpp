@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <type_traits>
@@ -55,40 +56,41 @@ struct lane<half> {
   static half narrow(float w) { return half(w); }
 };
 
-/// Structure of a float16 Mmad B operand. The paper's scan kernels only
-/// ever multiply data against the constant matrices U_s (upper-triangular
-/// ones: A@U is a row-wise inclusive prefix sum) and 1_s (all ones: A@1 is
-/// a row-sum broadcast), so the emulation recognises those two shapes and
-/// replaces the O(M*K*N) MAC loop with the O(M*N) recurrence that performs
-/// the *same* float additions in the same order — results stay bit-exact.
+/// Structure of an Mmad B operand. The paper's scan kernels only ever
+/// multiply data against the constant matrices U_s (upper-triangular ones:
+/// A@U is a row-wise inclusive prefix sum) and 1_s (all ones: A@1 is a
+/// row-sum broadcast), so the emulation recognises those two shapes and
+/// replaces the O(M*K*N) MAC loop with an O(M*N) recurrence that yields
+/// the generic loop's result bit for bit (see Mmad for why per data path).
 enum class MmadBKind { Generic, UpperOnes, AllOnes };
 
-inline MmadBKind classify_mmad_b(const half* bd, std::size_t K,
-                                 std::size_t N) {
-  if (K != N) return MmadBKind::Generic;
-  thread_local std::vector<std::uint16_t> ones_row;
-  if (ones_row.size() < N) ones_row.assign(N, 0x3c00u);  // half(1.0)
-  thread_local std::vector<std::uint16_t> zero_row;
-  if (zero_row.size() < N) zero_row.assign(N, 0u);
-  const auto* bits = reinterpret_cast<const std::uint16_t*>(bd);
+/// Classifies B by content: an exact bit-pattern match of In(1) / In(0),
+/// so a -0.0 or any other stray element sends B down the generic path.
+template <typename In>
+MmadBKind classify_mmad_b(const In* bd, std::size_t K, std::size_t N) {
+  if (K != N || N == 0) return MmadBKind::Generic;
+  thread_local std::vector<In> ones_row, zero_row;
+  if (ones_row.size() < N) {
+    ones_row.assign(N, In(1));
+    zero_row.assign(N, In(0));
+  }
   // Probe one interior element to pick the candidate shape cheaply, then
   // verify row by row with memcmp (vectorised by libc); any mismatch bails
   // to the generic path immediately.
-  const bool maybe_upper = N > 1 && bits[N] == 0u;  // B[1][0]
+  const bool maybe_upper =
+      N > 1 && std::memcmp(bd + N, zero_row.data(), sizeof(In)) == 0;  // B[1][0]
   if (maybe_upper) {
     for (std::size_t k = 0; k < K; ++k) {
-      const std::uint16_t* row = bits + k * N;
-      if (std::memcmp(row, zero_row.data(), k * sizeof(std::uint16_t)) != 0 ||
-          std::memcmp(row + k, ones_row.data(),
-                      (N - k) * sizeof(std::uint16_t)) != 0) {
+      const In* row = bd + k * N;
+      if (std::memcmp(row, zero_row.data(), k * sizeof(In)) != 0 ||
+          std::memcmp(row + k, ones_row.data(), (N - k) * sizeof(In)) != 0) {
         return MmadBKind::Generic;
       }
     }
     return MmadBKind::UpperOnes;
   }
   for (std::size_t k = 0; k < K; ++k) {
-    if (std::memcmp(bits + k * N, ones_row.data(),
-                    N * sizeof(std::uint16_t)) != 0) {
+    if (std::memcmp(bd + k * N, ones_row.data(), N * sizeof(In)) != 0) {
       return MmadBKind::Generic;
     }
   }
@@ -231,6 +233,7 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
   const In* ad = a.data();
   const In* bd = b.data();
   if (!accumulate) std::fill(cd, cd + M * N, Acc{});
+  const detail::MmadBKind bkind = detail::classify_mmad_b(bd, K, N);
   if constexpr (std::is_same_v<In, half>) {
     // Widen the A tile to float once (8 lanes per F16C instruction) instead
     // of converting elements inside the MAC loop; arithmetic then runs as
@@ -239,9 +242,24 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
     thread_local std::vector<float> a_wide, b_wide;
     a_wide.resize(M * K);
     half_to_float_n(ad, a_wide.data(), M * K);
-    const detail::MmadBKind bkind =
-        accumulate ? detail::MmadBKind::Generic : detail::classify_mmad_b(bd, K, N);
-    if (bkind == detail::MmadBKind::UpperOnes) {
+    bool b_widened = false;
+    // The generic loop for one row of C: crow[j] += A[i][k] * B[k][j] in
+    // increasing k. The closed forms below hand it the rows they cannot
+    // reproduce bit for bit.
+    auto generic_row = [&](std::size_t i) {
+      if (!b_widened) {
+        b_wide.resize(K * N);
+        half_to_float_n(bd, b_wide.data(), K * N);
+        b_widened = true;
+      }
+      float* crow = cd + i * N;
+      for (std::size_t k = 0; k < K; ++k) {
+        const float av = a_wide[i * K + k];
+        if (av == 0.0f) continue;  // fast path for sparse constant operands
+        detail::axpy_row(crow, av, b_wide.data() + k * N, N);
+      }
+    };
+    if (bkind == detail::MmadBKind::UpperOnes && !accumulate) {
       // C[i][j] = sum_{k<=j} A[i][k]: the generic loop adds A[i][k]*1 to
       // crow[j] in increasing k, so a left-to-right running sum performs
       // the identical addition sequence. (The generic loop's `av == 0` skip
@@ -249,6 +267,16 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
       // only be +0.0 when zero, so no branch is needed.) Four rows advance
       // per iteration — their sum chains are independent, which hides the
       // float-add latency the single serial chain would expose.
+      //
+      // The exception is a row holding ±inf or NaN: the generic loop also
+      // adds inf*0 = NaN to the columns left of it. K finite halves cannot
+      // overflow a float sum, so a row's last running sum is finite exactly
+      // when the row is; non-finite rows go back to the generic loop.
+      auto redo_if_nonfinite = [&](std::size_t i, float last) {
+        if (std::isfinite(last)) return;
+        std::fill(cd + i * N, cd + i * N + N, 0.0f);
+        generic_row(i);
+      };
       std::size_t i = 0;
       for (; i + 4 <= M; i += 4) {
         const float* r0 = a_wide.data() + i * K;
@@ -266,6 +294,10 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
           s2 += r2[j]; c2[j] = s2;
           s3 += r3[j]; c3[j] = s3;
         }
+        redo_if_nonfinite(i, s0);
+        redo_if_nonfinite(i + 1, s1);
+        redo_if_nonfinite(i + 2, s2);
+        redo_if_nonfinite(i + 3, s3);
       }
       for (; i < M; ++i) {
         const float* arow = a_wide.data() + i * K;
@@ -275,28 +307,42 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
           run += arow[j];
           crow[j] = run;
         }
+        redo_if_nonfinite(i, run);
       }
     } else if (bkind == detail::MmadBKind::AllOnes) {
-      // C[i][j] = sum_k A[i][k] for every j, accumulated in increasing k.
-      for (std::size_t i = 0; i < M; ++i) {
-        const float* arow = a_wide.data() + i * K;
-        float run = 0.0f;
-        for (std::size_t k = 0; k < K; ++k) run += arow[k];
-        std::fill(cd + i * N, cd + i * N + N, run);
-      }
-    } else {
-      b_wide.resize(K * N);
-      half_to_float_n(bd, b_wide.data(), K * N);
+      // C[i][j] += sum_k A[i][k]*1 for every j. When row i of C starts
+      // bit-uniform, every column goes through the same generic-loop
+      // operations (same k order, multiply then add), so one running sum
+      // stands for the whole row. That covers a fresh product (C was just
+      // zeroed) and reduce_cube's accumulation chain. The `av == 0` skip
+      // only matters to a sum that is -0.0, and a sum that does not start
+      // at -0.0 never becomes one, so such rows need no branch and a row
+      // that starts at -0.0 takes the generic loop. So does a non-finite
+      // result: when two NaNs meet, which one survives depends on the
+      // order of the add's operands, and only the generic loop pins it.
+      const float one = static_cast<float>(bd[0]);
       for (std::size_t i = 0; i < M; ++i) {
         float* crow = cd + i * N;
-        for (std::size_t k = 0; k < K; ++k) {
-          const float av = a_wide[i * K + k];
-          if (av == 0.0f) continue;  // fast path for sparse constant operands
-          detail::axpy_row(crow, av, b_wide.data() + k * N, N);
+        float run = crow[0];
+        if (!accumulate ||
+            (std::memcmp(crow, crow + 1, (N - 1) * sizeof(float)) == 0 &&
+             !(run == 0.0f && std::signbit(run)))) {
+          const float* arow = a_wide.data() + i * K;
+          for (std::size_t k = 0; k < K; ++k) {
+            const float prod = arow[k] * one;
+            run = run + prod;
+          }
+          if (std::isfinite(run)) {
+            std::fill(crow, crow + N, run);
+            continue;
+          }
         }
+        generic_row(i);
       }
+    } else {
+      for (std::size_t i = 0; i < M; ++i) generic_row(i);
     }
-  } else {
+  } else if (bkind == detail::MmadBKind::Generic) {
     for (std::size_t i = 0; i < M; ++i) {
       for (std::size_t k = 0; k < K; ++k) {
         const Acc av = static_cast<Acc>(static_cast<float>(ad[i * K + k]));
@@ -306,6 +352,23 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
         for (std::size_t j = 0; j < N; ++j) {
           crow[j] += av * static_cast<Acc>(static_cast<float>(brow[j]));
         }
+      }
+    }
+  } else {
+    // Integer sums are exact in any order, so A@U_s is a per-row running
+    // sum and A@1_s a row-sum broadcast, accumulating or not.
+    for (std::size_t i = 0; i < M; ++i) {
+      const In* arow = ad + i * K;
+      Acc* crow = cd + i * N;
+      Acc run{};
+      if (bkind == detail::MmadBKind::UpperOnes) {
+        for (std::size_t j = 0; j < N; ++j) {
+          run += static_cast<Acc>(arow[j]);
+          crow[j] += run;
+        }
+      } else {
+        for (std::size_t k = 0; k < K; ++k) run += static_cast<Acc>(arow[k]);
+        for (std::size_t j = 0; j < N; ++j) crow[j] += run;
       }
     }
   }

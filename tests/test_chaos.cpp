@@ -591,9 +591,21 @@ TEST(Chaos, DeviceDiesWhileHoldingPreemptionParkedBatchFailsOverBitExact) {
   std::mutex mu;
   std::condition_variable cv;
   bool started = false;
+  std::future<Response> hi1, hi2;
   Request bulk = Request::cumsum(x, 16, false, Priority::Bulk);
   bulk.on_chunk = [&](const StreamChunk&) {
     std::lock_guard<std::mutex> lk(mu);
+    // Submitted from the first chunk's callback, so the device's inbox
+    // holds them at this step's preemption check and the bulk parks at
+    // the first tile boundary however fast the host runs the rest.
+    if (!started) {
+      hi1 = cluster.submit(
+          Request::cumsum(testing::exact_scan_workload(n1), 64)
+              .with_slo(SloTier::Gold, 10e-3));
+      hi2 = cluster.submit(
+          Request::cumsum(testing::exact_scan_workload(n2), 64)
+              .with_slo(SloTier::Gold, 10e-3));
+    }
     started = true;
     cv.notify_all();
   };
@@ -604,12 +616,6 @@ TEST(Chaos, DeviceDiesWhileHoldingPreemptionParkedBatchFailsOverBitExact) {
                             [&] { return started; }))
         << "bulk launch never started on the affinity device";
   }
-  auto hi1 = cluster.submit(
-      Request::cumsum(testing::exact_scan_workload(n1), 64)
-          .with_slo(SloTier::Gold, 10e-3));
-  auto hi2 = cluster.submit(
-      Request::cumsum(testing::exact_scan_workload(n2), 64)
-          .with_slo(SloTier::Gold, 10e-3));
 
   const auto r = bulk_fut.get();
   ASSERT_EQ(r.status, Status::Ok) << r.reason;

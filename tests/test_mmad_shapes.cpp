@@ -1,6 +1,13 @@
 // Cube-layer depth tests: Mmad on non-square shapes, accumulation chains,
-// padding alignment, cost monotonicity, and the constant matrices of §4.
+// padding alignment, cost monotonicity, the constant matrices of §4, and a
+// typed bit-exactness matrix pinning every Mmad path (the closed forms for
+// U_s and 1_s as well as the generic loop) against a plain host triple loop.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "ascendc/ascendc.hpp"
 #include "common/rng.hpp"
@@ -180,6 +187,312 @@ TEST(MmadShapes, Int8KAlignmentIs32) {
   };
   EXPECT_NEAR(time_of(17), time_of(32), 1e-12);
   EXPECT_GT(time_of(33), time_of(32));
+}
+
+// ---------------------------------------------------------------------------
+// Typed bit-exactness matrix. Mmad picks its functional path from B's
+// content; whichever path runs, C must equal, byte for byte, the generic
+// loop's result: C[i][j] = C[i][j] + A[i][k] * B[k][j] in increasing k,
+// skipping zero A elements, multiply then add.
+
+template <typename T>
+class MmadBitExact : public ::testing::Test {};
+using CubeInputTypes = ::testing::Types<half, std::int8_t>;
+TYPED_TEST_SUITE(MmadBitExact, CubeInputTypes);
+
+enum class BCase {
+  Upper,           ///< U_s
+  AllOnes,         ///< 1_s
+  StrictLower,     ///< L_s^-
+  UpperFlipped,    ///< U_s with one element flipped 0 <-> 1
+  AllOnesFlipped,  ///< 1_s with one element set to 0
+  UpperNegZero,    ///< U_s with a -0.0 in its zero triangle (half only)
+  Random,
+};
+constexpr BCase kBCases[] = {BCase::Upper,          BCase::AllOnes,
+                             BCase::StrictLower,    BCase::UpperFlipped,
+                             BCase::AllOnesFlipped, BCase::UpperNegZero,
+                             BCase::Random};
+
+const char* name_of(BCase b) {
+  switch (b) {
+    case BCase::Upper: return "U_s";
+    case BCase::AllOnes: return "1_s";
+    case BCase::StrictLower: return "L_s^-";
+    case BCase::UpperFlipped: return "U_s flipped";
+    case BCase::AllOnesFlipped: return "1_s flipped";
+    case BCase::UpperNegZero: return "U_s with -0.0";
+    case BCase::Random: return "random";
+  }
+  return "?";
+}
+
+/// Element generators: A tiles cover the values a data path can hold, B
+/// tiles the constant matrices and their near misses.
+template <typename In>
+struct CubeValues;
+
+template <>
+struct CubeValues<half> {
+  static float widen(half v) { return static_cast<float>(v); }
+  /// General finite values, ±0 and subnormals; rows with `specials` also
+  /// get a few ±inf and NaN (signalling and quiet, both signs).
+  static void fill_row(Rng& rng, half* row, std::size_t k, bool specials) {
+    for (std::size_t e = 0; e < k; ++e) {
+      const auto r = rng.next_below(20);
+      std::uint16_t bits;
+      if (r < 3) {
+        bits = 0x0000u;
+      } else if (r < 5) {
+        bits = 0x8000u;
+      } else if (r < 7) {  // subnormal, either sign
+        bits = static_cast<std::uint16_t>(1 + rng.next_below(0x3ffu)) |
+               (rng.next_below(2) ? 0x8000u : 0u);
+      } else {  // any finite half
+        do {
+          bits = static_cast<std::uint16_t>(rng.next_below(0x10000u));
+        } while ((bits & 0x7c00u) == 0x7c00u);
+      }
+      row[e] = half::from_bits(bits);
+    }
+    if (!specials) return;
+    constexpr std::uint16_t kSpecials[] = {0x7c00u, 0xfc00u, 0x7e00u,
+                                           0xfe00u, 0x7c01u};
+    for (int n = 0; n < 2; ++n) {
+      row[rng.next_below(k)] =
+          half::from_bits(kSpecials[rng.next_below(std::size(kSpecials))]);
+    }
+  }
+  static half random_b(Rng& rng) {
+    if (rng.next_below(4) == 0) return half(0.0f);
+    return half(static_cast<float>(rng.uniform(-4.0, 4.0)));
+  }
+};
+
+template <>
+struct CubeValues<std::int8_t> {
+  static std::int32_t widen(std::int8_t v) { return v; }
+  static void fill_row(Rng& rng, std::int8_t* row, std::size_t k, bool) {
+    for (std::size_t e = 0; e < k; ++e) {
+      row[e] = rng.next_below(4) == 0
+                   ? std::int8_t{0}
+                   : static_cast<std::int8_t>(
+                         static_cast<int>(rng.next_below(256)) - 128);
+    }
+  }
+  static std::int8_t random_b(Rng& rng) {
+    return static_cast<std::int8_t>(static_cast<int>(rng.next_below(7)) - 3);
+  }
+};
+
+template <typename In>
+std::vector<In> make_b(BCase bc, std::size_t s, Rng& rng) {
+  std::vector<In> b;
+  switch (bc) {
+    case BCase::Upper:
+    case BCase::UpperFlipped:
+    case BCase::UpperNegZero:
+      b = kernels::make_upper_ones<In>(s);
+      break;
+    case BCase::AllOnes:
+    case BCase::AllOnesFlipped:
+      b = kernels::make_all_ones<In>(s);
+      break;
+    case BCase::StrictLower:
+      b = kernels::make_strict_lower_ones<In>(s);
+      break;
+    case BCase::Random:
+      b.resize(s * s);
+      for (auto& v : b) v = CubeValues<In>::random_b(rng);
+      break;
+  }
+  const std::size_t k = rng.next_below(s), j = rng.next_below(s);
+  if (bc == BCase::UpperFlipped) {
+    b[k * s + j] = j >= k ? In(0) : In(1);
+  } else if (bc == BCase::AllOnesFlipped) {
+    b[k * s + j] = In(0);
+  } else if (bc == BCase::UpperNegZero) {
+    if constexpr (std::is_same_v<In, half>) {
+      const std::size_t row = 1 + rng.next_below(s - 1);
+      b[row * s + rng.next_below(row)] = half::from_bits(0x8000u);
+    }
+  }
+  return b;
+}
+
+/// The generic loop, written plainly on host vectors.
+template <typename In, typename Acc = cube_accum_t<In>>
+void reference_mmad(std::vector<Acc>& c, const std::vector<In>& a,
+                    const std::vector<In>& b, std::size_t M, std::size_t K,
+                    std::size_t N, bool accumulate) {
+  if (!accumulate) std::fill(c.begin(), c.end(), Acc{});
+  for (std::size_t i = 0; i < M; ++i) {
+    for (std::size_t k = 0; k < K; ++k) {
+      const Acc av = CubeValues<In>::widen(a[i * K + k]);
+      if (av == Acc{}) continue;
+      for (std::size_t j = 0; j < N; ++j) {
+        const Acc prod = av * CubeValues<In>::widen(b[k * N + j]);
+        c[i * N + j] = c[i * N + j] + prod;
+      }
+    }
+  }
+}
+
+/// One chain of Mmad calls on the cube, each checked against the reference.
+/// `b_of(call)` gives call's B; `a_row(call, i, row)` fills row i of A.
+template <typename In>
+class CubeChain {
+ public:
+  using Acc = cube_accum_t<In>;
+  static constexpr std::size_t kMaxTile = 128 * 128;
+
+  explicit CubeChain(KernelContext& c)
+      : ctx_(c), pipe_(c), a1_(c, TPosition::A1), a2_(c, TPosition::A2),
+        b2_(c, TPosition::B2), co_(c, TPosition::CO1) {
+    pipe_.InitBuffer(a1_, kMaxTile * sizeof(In));
+    pipe_.InitBuffer(a2_, kMaxTile * sizeof(In));
+    pipe_.InitBuffer(b2_, kMaxTile * sizeof(In));
+    pipe_.InitBuffer(co_, kMaxTile * sizeof(Acc));
+  }
+
+  /// Sets C (and the reference) before an accumulating call.
+  void preset_c(const std::vector<Acc>& c0) {
+    std::memcpy(co_.Get<Acc>().data(), c0.data(), c0.size() * sizeof(Acc));
+    ref_ = c0;
+  }
+
+  /// Runs C (+)= A @ B for one call and compares C with the reference.
+  void step(const std::vector<In>& a, const std::vector<In>& b,
+            std::size_t M, std::size_t s, bool accumulate,
+            const std::string& what) {
+    auto stage = a1_.Get<In>();
+    auto A = a2_.Get<In>();
+    auto B = b2_.Get<In>();
+    auto C = co_.Get<Acc>();
+    std::memcpy(stage.data(), a.data(), M * s * sizeof(In));
+    LoadData(ctx_, A, stage, M * s);
+    std::memcpy(stage.data(), b.data(), s * s * sizeof(In));
+    LoadData(ctx_, B, stage, s * s);
+    Mmad(ctx_, C, A, B, M, s, s, accumulate);
+    ref_.resize(M * s);  // keeps a preset C's values
+    reference_mmad(ref_, a, b, M, s, s, accumulate);
+    if (std::memcmp(C.data(), ref_.data(), M * s * sizeof(Acc)) == 0) return;
+    for (std::size_t e = 0; e < M * s; ++e) {
+      if (std::memcmp(C.data() + e, ref_.data() + e, sizeof(Acc)) != 0) {
+        ADD_FAILURE() << what << ": C[" << e / s << "][" << e % s
+                      << "] = " << C[e] << ", generic loop gives " << ref_[e];
+        return;
+      }
+    }
+  }
+
+ private:
+  KernelContext& ctx_;
+  TPipe pipe_;
+  TBuf a1_, a2_, b2_, co_;
+  std::vector<Acc> ref_;
+};
+
+TYPED_TEST(MmadBitExact, EveryBCaseShapeAndChainMatchesGenericLoop) {
+  using In = TypeParam;
+  on_cube([](KernelContext& c) {
+    CubeChain<In> chain(c);
+    Rng rng(2025);
+    std::size_t case_no = 0;
+    for (const BCase bc : kBCases) {
+      if (bc == BCase::UpperNegZero && !std::is_same_v<In, half>) continue;
+      for (const std::size_t s : {16, 32, 64, 128}) {
+        for (const std::size_t M : {s, s - 1, std::size_t{3}}) {
+          // A single product, then a chain of 2-5 calls on one B.
+          const std::size_t chain_len = 2 + case_no++ % 4;
+          for (const std::size_t calls : {std::size_t{1}, chain_len}) {
+            const auto b = make_b<In>(bc, s, rng);
+            std::vector<In> a(M * s);
+            for (std::size_t call = 0; call < calls; ++call) {
+              for (std::size_t i = 0; i < M; ++i) {
+                CubeValues<In>::fill_row(rng, a.data() + i * s, s,
+                                         rng.next_below(4) == 0);
+              }
+              chain.step(a, b, M, s, call > 0,
+                         std::string(name_of(bc)) + " s=" +
+                             std::to_string(s) + " M=" + std::to_string(M) +
+                             " call " + std::to_string(call + 1) + "/" +
+                             std::to_string(calls));
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
+TYPED_TEST(MmadBitExact, AllOnesChainOverMixedRowsMatchesGenericLoop) {
+  // A first product against U_s leaves some rows of C uniform (A rows that
+  // are zero past column 0) and others not, so the accumulating 1_s calls
+  // after it meet both kinds of row.
+  using In = TypeParam;
+  on_cube([](KernelContext& c) {
+    CubeChain<In> chain(c);
+    Rng rng(7);
+    for (const std::size_t s : {16, 32, 64, 128}) {
+      for (const std::size_t M : {s, s - 1, std::size_t{3}}) {
+        const auto upper = kernels::make_upper_ones<In>(s);
+        const auto ones = kernels::make_all_ones<In>(s);
+        std::vector<In> a(M * s);
+        for (std::size_t call = 0; call < 4; ++call) {
+          for (std::size_t i = 0; i < M; ++i) {
+            In* row = a.data() + i * s;
+            CubeValues<In>::fill_row(rng, row, s, rng.next_below(4) == 0);
+            if (call == 0 && i % 2 == 0) std::fill(row + 1, row + s, In(0));
+          }
+          chain.step(a, call == 0 ? upper : ones, M, s, call > 0,
+                     "mixed rows s=" + std::to_string(s) + " M=" +
+                         std::to_string(M) + " call " +
+                         std::to_string(call + 1));
+        }
+      }
+    }
+  });
+}
+
+TYPED_TEST(MmadBitExact, AllOnesAccumulateOntoPresetRowsMatchesGenericLoop) {
+  // C rows no Mmad produces: uniform -0.0 (the generic loop's zero skip
+  // keeps it when A's row is all zeros), uniform ±inf and NaN, and rows
+  // that differ in one column.
+  using In = TypeParam;
+  using Acc = cube_accum_t<In>;
+  on_cube([](KernelContext& c) {
+    CubeChain<In> chain(c);
+    Rng rng(11);
+    for (const std::size_t s : {16, 32, 64, 128}) {
+      for (const std::size_t M : {s, s - 1, std::size_t{3}}) {
+        std::vector<Acc> c0(M * s);
+        std::vector<In> a(M * s);
+        for (std::size_t i = 0; i < M; ++i) {
+          Acc start = static_cast<Acc>(static_cast<int>(i % 7) - 3);
+          if constexpr (std::is_same_v<In, half>) {
+            constexpr float kStarts[] = {-0.0f, 0.0f, 1.5f, INFINITY,
+                                         -INFINITY, NAN};
+            start = kStarts[i % std::size(kStarts)];
+          }
+          std::fill(c0.begin() + i * s, c0.begin() + (i + 1) * s, start);
+          if (i % 5 == 4) c0[i * s + rng.next_below(s)] = Acc{2};
+          In* row = a.data() + i * s;
+          CubeValues<In>::fill_row(rng, row, s, rng.next_below(4) == 0);
+          if (i % 3 == 0) {  // only zeros, +0.0 and (for half) -0.0
+            for (std::size_t k = 0; k < s; ++k) row[k] = In(0);
+            if constexpr (std::is_same_v<In, half>) {
+              row[rng.next_below(s)] = half::from_bits(0x8000u);
+            }
+          }
+        }
+        chain.preset_c(c0);
+        chain.step(a, kernels::make_all_ones<In>(s), M, s, true,
+                   "preset rows s=" + std::to_string(s) +
+                       " M=" + std::to_string(M));
+      }
+    }
+  });
 }
 
 }  // namespace

@@ -115,6 +115,11 @@ TEST(SloEdfProperty, RandomizedDeadlineStreamPopsInEdfOrderExactlyOnce) {
 // must park at the next tile boundary, serve the interactive batch, and
 // resume — and the final bulk payload must equal the direct Session
 // result bit for bit, chunks included.
+//
+// The interactive request is submitted from inside the first chunk's
+// callback: the engine drains its inbox in the preemption check that
+// follows the chunk in the same step, so the bulk parks at the first tile
+// boundary however fast the host runs the remaining steps.
 
 void run_preempted_bit_exact(sim::ExecutorMode mode) {
   const auto x = exact_scan_workload(16384, 77);  // tile 16 -> 64 steps
@@ -135,6 +140,7 @@ void run_preempted_bit_exact(sim::ExecutorMode mode) {
   std::condition_variable cv;
   bool started = false;
   std::vector<half> streamed;
+  std::future<Response> hi_fut;
   Request bulk = Request::cumsum(x, 16, false, Priority::Bulk);
   bulk.tier = SloTier::Bronze;
   bulk.on_chunk = [&](const StreamChunk& c) {
@@ -142,6 +148,13 @@ void run_preempted_bit_exact(sim::ExecutorMode mode) {
     EXPECT_EQ(c.offset, streamed.size()) << "chunk offsets not contiguous";
     streamed.insert(streamed.end(), c.values_f16.begin(),
                     c.values_f16.end());
+    if (!started) {
+      // Different GroupKey (tile 64), so continuation admission cannot
+      // seat it — preemption is the only way it runs before the bulk tail.
+      hi_fut = engine.submit(
+          Request::cumsum(exact_scan_workload(256, 3), 64)
+              .with_slo(SloTier::Gold, 10e-3));
+    }
     started = true;
     cv.notify_all();
   };
@@ -152,12 +165,6 @@ void run_preempted_bit_exact(sim::ExecutorMode mode) {
                             [&] { return started; }))
         << "bulk launch never streamed its first chunk";
   }
-
-  // Different GroupKey (tile 64), so continuation admission cannot seat
-  // it — preemption is the only way it runs before the bulk tail.
-  auto hi_fut = engine.submit(
-      Request::cumsum(exact_scan_workload(256, 3), 64)
-          .with_slo(SloTier::Gold, 10e-3));
 
   const auto hi = hi_fut.get();
   ASSERT_TRUE(hi.ok()) << hi.reason;
@@ -215,9 +222,16 @@ TEST(SloPreemption, SegmentedPreemptedBulkBitExact) {
   std::mutex mu;
   std::condition_variable cv;
   bool started = false;
+  std::future<Response> hi_fut;
   Request bulk = Request::segmented_cumsum(x, flags);
   bulk.on_chunk = [&](const StreamChunk&) {
     std::lock_guard<std::mutex> lk(mu);
+    // Queued before this step's preemption check (see above).
+    if (!started) {
+      hi_fut = engine.submit(
+          Request::cumsum(exact_scan_workload(256, 4), 64)
+              .with_slo(SloTier::Gold, 10e-3));
+    }
     started = true;
     cv.notify_all();
   };
@@ -227,9 +241,6 @@ TEST(SloPreemption, SegmentedPreemptedBulkBitExact) {
     ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10),
                             [&] { return started; }));
   }
-  auto hi_fut = engine.submit(
-      Request::cumsum(exact_scan_workload(256, 4), 64)
-          .with_slo(SloTier::Gold, 10e-3));
   ASSERT_TRUE(hi_fut.get().ok());
   const auto r = bulk_fut.get();
   ASSERT_TRUE(r.ok()) << r.reason;
