@@ -18,10 +18,9 @@ using namespace ascend;
 
 namespace {
 
-sim::MachineConfig cfg_mode(sim::ExecutorMode mode, bool timing_cache = false) {
+sim::MachineConfig cfg_mode(sim::ExecutorMode mode) {
   auto cfg = sim::MachineConfig::ascend_910b4();
   cfg.executor = mode;
-  cfg.timing_cache = timing_cache;
   return cfg;
 }
 
@@ -216,12 +215,12 @@ BENCHMARK_CAPTURE(BM_SessionTopPSampleBatch, pool, sim::ExecutorMode::Pool)
 
 // The purest repeated-launch workload: one full-width kernel relaunched on
 // device-resident buffers. This isolates per-launch host overhead (thread
-// management + context setup + replay), which is exactly what the pool and
-// the timing cache attack.
-static void BM_RepeatedLaunch(benchmark::State& state, sim::ExecutorMode mode,
-                              bool timing_cache) {
+// management + context setup + replay), which is exactly what the pool
+// attacks.
+static void BM_RepeatedLaunch(benchmark::State& state,
+                              sim::ExecutorMode mode) {
   const std::size_t n = 8192;
-  acc::Device dev(cfg_mode(mode, timing_cache));
+  acc::Device dev(cfg_mode(mode));
   auto x = dev.alloc<half>(n, half(2.0f));
   auto y = dev.alloc<half>(n);
   std::int64_t launches = 0;
@@ -235,12 +234,9 @@ static void BM_RepeatedLaunch(benchmark::State& state, sim::ExecutorMode mode,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, spawn, sim::ExecutorMode::Spawn, false)
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, spawn, sim::ExecutorMode::Spawn)
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, pool, sim::ExecutorMode::Pool, false)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, pool_cached, sim::ExecutorMode::Pool,
-                  true)
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, pool, sim::ExecutorMode::Pool)
     ->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -109,7 +109,7 @@ class Device {
   sim::L2Cache& l2() { return l2_; }
 
   /// Host execution engine of this device: persistent sub-core workers,
-  /// pooled kernel contexts, scheduler scratch and the timing cache.
+  /// pooled kernel contexts and scheduler scratch.
   /// Created lazily on the first launch (defined in engine.cpp).
   LaunchEngine& engine();
 

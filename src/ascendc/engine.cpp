@@ -1,6 +1,5 @@
 #include "ascendc/engine.hpp"
 
-#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -9,9 +8,7 @@
 namespace ascend::acc {
 
 LaunchEngine::LaunchEngine(const sim::MachineConfig& cfg)
-    : cfg_(cfg),
-      mode_(sim::resolve_executor_mode(cfg.executor)),
-      cache_enabled_(sim::resolve_timing_cache(cfg.timing_cache)) {}
+    : cfg_(cfg), mode_(sim::resolve_executor_mode(cfg.executor)) {}
 
 LaunchEngine::~LaunchEngine() = default;
 
@@ -79,46 +76,10 @@ void LaunchEngine::run_subcores(int n, const std::function<void(int)>& body) {
 // ---------------------------------------------------------------------------
 // Timing
 
-namespace {
-std::uint64_t double_bits(double d) {
-  std::uint64_t b;
-  std::memcpy(&b, &d, sizeof(b));
-  return b;
-}
-}  // namespace
-
 sim::Report LaunchEngine::replay(const TimingRequest& req) {
-  // Counted even when the replay aborts on a fault: a partial replay still
-  // mutates the L2, so the generation must move.
-  ++replays_;
   sim::Scheduler sched(cfg_, req.l2);
   return sched.run(trace_, req.timeline, {req.injector, req.watchdog_s},
                    &scratch_);
-}
-
-sim::Report LaunchEngine::timed(const TimingRequest& req) {
-  const bool armed = req.injector != nullptr && req.injector->armed();
-  const bool eligible =
-      cache_enabled_ && !armed && req.timeline == nullptr;
-  if (!eligible) {
-    if (cache_enabled_) cache_.note_bypass();
-    return replay(req);
-  }
-  sim::LaunchKey key;
-  key.name = req.name;
-  key.mode = req.mode;
-  key.block_dim = req.block_dim;
-  key.fingerprint = sim::trace_fingerprint(trace_, id_scratch_);
-  // The effective deadline is part of the key: a cached success under a lax
-  // watchdog must not satisfy a launch with a tighter one.
-  const double wd = req.watchdog_s > 0 ? req.watchdog_s : cfg_.watchdog_s;
-  key.watchdog_bits = double_bits(wd);
-
-  const std::uint64_t gen_before = generation(req.l2);
-  if (const sim::Report* hit = cache_.lookup(key, gen_before)) return *hit;
-  const sim::Report rep = replay(req);
-  cache_.record(key, rep, gen_before, generation(req.l2));
-  return rep;
 }
 
 sim::Report LaunchEngine::time_lease(ContextLease& lease, LaunchShared& shared,
@@ -163,7 +124,7 @@ sim::Report LaunchEngine::time_lease(ContextLease& lease, LaunchShared& shared,
     }
   };
   try {
-    const sim::Report rep = timed(req);
+    const sim::Report rep = replay(req);
     recycle();
     return rep;
   } catch (...) {

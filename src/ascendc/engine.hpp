@@ -1,6 +1,6 @@
 // Host execution engine owned by acc::Device: persistent sub-core worker
-// pool, pooled KernelContexts / trace-op arenas, reusable scheduler scratch
-// and the opt-in launch-shape timing cache.
+// pool, pooled KernelContexts / trace-op arenas and reusable scheduler
+// scratch.
 //
 // The engine holds its own MachineConfig copy so pooled KernelContexts
 // (which keep a reference to it) stay valid even when the owning Device is
@@ -40,12 +40,8 @@ class LaunchEngine {
 
   const sim::MachineConfig& config() const { return cfg_; }
   sim::ExecutorMode mode() const { return mode_; }
-  bool timing_cache_enabled() const { return cache_enabled_; }
   /// Workers currently alive in the pool (0 until the first pooled launch).
   int pool_workers() const { return pool_.workers(); }
-  const sim::TimingCache::Stats& cache_stats() const { return cache_.stats(); }
-  /// Discrete-event replays executed (cache hits don't count).
-  std::uint64_t replays() const { return replays_; }
 
   /// RAII lease over pooled per-sub-core contexts: contexts are taken from
   /// the engine's free lists (or built on first use), reset for the new
@@ -81,9 +77,6 @@ class LaunchEngine {
   void run_subcores(int n, const std::function<void(int)>& body);
 
   struct TimingRequest {
-    const char* name = "kernel";
-    int mode = 0;  ///< LaunchMode as int (part of the cache key)
-    int block_dim = 0;
     sim::Timeline* timeline = nullptr;
     double watchdog_s = 0;
     /// Armed injector of the device, or nullptr for fault-free timing.
@@ -91,10 +84,10 @@ class LaunchEngine {
     sim::L2Cache* l2 = nullptr;
   };
 
-  /// Gathers the lease's recorded traces, produces the launch Report — from
-  /// the timing cache when provably bit-exact, otherwise by discrete-event
-  /// replay — and returns the trace-op arenas to the lease's builders for
-  /// reuse. On a FaultError the arenas are recycled before it propagates.
+  /// Gathers the lease's recorded traces, produces the launch Report by
+  /// discrete-event replay and returns the trace-op arenas to the lease's
+  /// builders for reuse. On a FaultError the arenas are recycled before it
+  /// propagates.
   sim::Report time_lease(ContextLease& lease, LaunchShared& shared,
                          const TimingRequest& req);
 
@@ -103,26 +96,16 @@ class LaunchEngine {
                          int block_dim, std::uint32_t global_subcore,
                          std::vector<std::unique_ptr<KernelContext>>& out);
   void release(std::vector<std::unique_ptr<KernelContext>>& ctxs) noexcept;
-  sim::Report timed(const TimingRequest& req);
   sim::Report replay(const TimingRequest& req);
-  /// Cache generation: replay count + L2 reset count. Unchanged generation
-  /// proves nothing perturbed the L2 since an entry was recorded.
-  std::uint64_t generation(const sim::L2Cache* l2) const {
-    return replays_ + (l2 != nullptr ? l2->generation() : 0);
-  }
 
   sim::MachineConfig cfg_;
   sim::ExecutorMode mode_;
-  bool cache_enabled_;
   sim::SubcorePool pool_;
   sim::SchedScratch scratch_;
-  sim::TimingCache cache_;
-  std::uint64_t replays_ = 0;
   std::vector<std::unique_ptr<KernelContext>> cube_pool_;
   std::vector<std::unique_ptr<KernelContext>> vec_pool_;
-  sim::KernelTrace trace_;                 ///< reused across launches
-  std::vector<std::uint64_t> id_scratch_;  ///< fingerprint scratch
-  std::vector<std::uint32_t> id_map_;      ///< canonical-id renumber scratch
+  sim::KernelTrace trace_;             ///< reused across launches
+  std::vector<std::uint32_t> id_map_;  ///< canonical-id renumber scratch
 };
 
 }  // namespace ascend::acc

@@ -103,10 +103,9 @@ inline std::vector<SubcorePlan> plan_subcores(const sim::MachineConfig& cfg,
 ///
 /// Host execution runs on the device's LaunchEngine: sub-core bodies execute
 /// on the persistent worker pool (or spawned threads under
-/// ExecutorMode::Spawn / ASCAN_EXECUTOR=spawn), kernel contexts and trace
-/// arenas are pooled in both modes, and constant-shape repeated launches may
-/// skip the discrete-event replay via the opt-in timing cache. All of it is
-/// bit-exact: Reports, traces and GM effects are identical across modes.
+/// ExecutorMode::Spawn / ASCAN_EXECUTOR=spawn) and kernel contexts and trace
+/// arenas are pooled in both modes. All of it is bit-exact: Reports, traces
+/// and GM effects are identical across modes.
 template <typename F>
 sim::Report launch(Device& dev, const LaunchSpec& spec, F&& body) {
   LaunchEngine& eng = dev.engine();
@@ -147,9 +146,6 @@ sim::Report launch(Device& dev, const LaunchSpec& spec, F&& body) {
   if (first_error) std::rethrow_exception(first_error);
 
   LaunchEngine::TimingRequest req;
-  req.name = spec.name;
-  req.mode = static_cast<int>(spec.mode);
-  req.block_dim = spec.block_dim;
   req.timeline = spec.timeline;
   req.watchdog_s = spec.watchdog_s;
   req.injector = fault_armed ? injector : nullptr;

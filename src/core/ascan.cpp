@@ -27,13 +27,6 @@ Session::Session(MachineConfig cfg) : dev_(cfg) {}
 
 Report Session::run_resilient(const char* what,
                               const std::function<Report()>& attempt) {
-  Report rep = resilient(what, attempt);
-  total_ += rep;
-  return rep;
-}
-
-Report Session::resilient(const char* what,
-                          const std::function<Report()>& attempt) {
   (void)what;
   last_stats_ = RetryStats{};
   // Whatever happens, fold this call's stats into the lifetime totals —
@@ -49,6 +42,7 @@ Report Session::resilient(const char* what,
   try {
     Report r = resilient_loop(attempt);
     accumulate(false);
+    total_ += r;
     return r;
   } catch (...) {
     accumulate(true);
@@ -132,7 +126,7 @@ void Session::exclude_core() {
 
 // ---------------------------------------------------------------------------
 // Operators. Each validates its arguments (typed ascend::Error on misuse),
-// then runs its kernel(s) under the resilient wrapper: the attempt lambda
+// then runs its kernel(s) under run_resilient: the attempt lambda
 // is re-invoked verbatim on retry, which is safe because kernels fully
 // overwrite their outputs and never modify their inputs.
 
@@ -148,13 +142,12 @@ ValueResult<float> Session::cumsum(const std::vector<half>& x,
   auto in = dev_.upload(x);
   auto out = dev_.alloc<float>(x.size());
   ValueResult<float> r;
-  r.report = resilient("cumsum", [&] {
+  r.report = run_resilient("cumsum", [&] {
     return k::mcscan<half, float>(
         dev_, in.tensor(), out.tensor(), x.size(),
         {.s = opt.tile, .blocks = opt.blocks, .exclusive = opt.exclusive});
   });
   r.values = std::move(out.host());
-  total_ += r.report;
   return r;
 }
 
@@ -164,7 +157,7 @@ ValueResult<half> Session::cumsum_f16(const std::vector<half>& x,
   auto in = dev_.upload(x);
   auto out = dev_.alloc<half>(x.size());
   ValueResult<half> r;
-  r.report = resilient("cumsum_f16", [&]() -> Report {
+  r.report = run_resilient("cumsum_f16", [&]() -> Report {
     switch (opt.algo) {
       case ScanAlgo::ScanU:
         ASCAN_CHECK(!opt.exclusive, "exclusive scan is MCScan-only (§4.3)");
@@ -182,7 +175,6 @@ ValueResult<half> Session::cumsum_f16(const std::vector<half>& x,
     }
   });
   r.values = std::move(out.host());
-  total_ += r.report;
   return r;
 }
 
@@ -194,13 +186,12 @@ ValueResult<std::int32_t> Session::cumsum_i8(const std::vector<std::int8_t>& x,
   auto in = dev_.upload(x);
   auto out = dev_.alloc<std::int32_t>(x.size());
   ValueResult<std::int32_t> r;
-  r.report = resilient("cumsum_i8", [&] {
+  r.report = run_resilient("cumsum_i8", [&] {
     return k::mcscan<std::int8_t, std::int32_t>(
         dev_, in.tensor(), out.tensor(), x.size(),
         {.s = opt.tile, .blocks = opt.blocks, .exclusive = opt.exclusive});
   });
   r.values = std::move(out.host());
-  total_ += r.report;
   return r;
 }
 
@@ -215,7 +206,7 @@ ValueResult<half> Session::cumsum_batched(const std::vector<half>& x,
   auto in = dev_.upload(x);
   auto out = dev_.alloc<half>(x.size());
   ValueResult<half> r;
-  r.report = resilient("cumsum_batched", [&] {
+  r.report = run_resilient("cumsum_batched", [&] {
     return use_ul1_schedule
                ? k::batched_scan_ul1(dev_, in.tensor(), out.tensor(), batch,
                                      len, {.s = tile})
@@ -223,7 +214,6 @@ ValueResult<half> Session::cumsum_batched(const std::vector<half>& x,
                                    len, {.s = tile});
   });
   r.values = std::move(out.host());
-  total_ += r.report;
   return r;
 }
 
@@ -232,11 +222,10 @@ ValueResult<half> Session::clone(const std::vector<half>& x) {
   auto in = dev_.upload(x);
   auto out = dev_.alloc<half>(x.size());
   ValueResult<half> r;
-  r.report = resilient("clone", [&] {
+  r.report = run_resilient("clone", [&] {
     return k::copy_kernel<half>(dev_, in.tensor(), out.tensor(), x.size());
   });
   r.values = std::move(out.host());
-  total_ += r.report;
   return r;
 }
 
@@ -250,7 +239,7 @@ SplitResult Session::split(const std::vector<half>& x,
   auto vals = dev_.alloc<half>(x.size());
   auto idx = dev_.alloc<std::int32_t>(x.size());
   SplitResult r;
-  r.report = resilient("split", [&] {
+  r.report = run_resilient("split", [&] {
     auto sr = k::split_ind<half>(dev_, in.tensor(), {}, m.tensor(),
                                  vals.tensor(), idx.tensor(), x.size(),
                                  {.s = tile});
@@ -259,7 +248,6 @@ SplitResult Session::split(const std::vector<half>& x,
   });
   r.values = std::move(vals.host());
   r.indices = std::move(idx.host());
-  total_ += r.report;
   return r;
 }
 
@@ -273,7 +261,7 @@ MaskedSelectResult Session::masked_select(const std::vector<half>& x,
   auto out = dev_.alloc<half>(x.size());
   MaskedSelectResult r;
   std::size_t num_true = 0;
-  r.report = resilient("masked_select", [&] {
+  r.report = run_resilient("masked_select", [&] {
     const auto sr =
         baseline ? k::masked_select_baseline(dev_, in.tensor(), m.tensor(),
                                              out.tensor(), x.size())
@@ -284,7 +272,6 @@ MaskedSelectResult Session::masked_select(const std::vector<half>& x,
   });
   out.host().resize(num_true);
   r.values = std::move(out.host());
-  total_ += r.report;
   return r;
 }
 
@@ -295,7 +282,7 @@ SortResult Session::sort(const std::vector<half>& keys, bool descending,
   auto vals = dev_.alloc<half>(keys.size());
   auto idx = dev_.alloc<std::int32_t>(keys.size());
   SortResult r;
-  r.report = resilient("sort", [&] {
+  r.report = run_resilient("sort", [&] {
     return algo == SortAlgo::Radix
                ? k::radix_sort_f16(dev_, in.tensor(), vals.tensor(),
                                    idx.tensor(), keys.size(),
@@ -305,7 +292,6 @@ SortResult Session::sort(const std::vector<half>& keys, bool descending,
   });
   r.values = std::move(vals.host());
   r.indices = std::move(idx.host());
-  total_ += r.report;
   return r;
 }
 
@@ -318,7 +304,7 @@ TopKResult Session::topk(const std::vector<half>& x, std::size_t k,
   auto vals = dev_.alloc<half>(k);
   auto idx = dev_.alloc<std::int32_t>(k);
   TopKResult r;
-  r.report = resilient("topk", [&] {
+  r.report = run_resilient("topk", [&] {
     return baseline
                ? k::topk_baseline_f16(dev_, in.tensor(), vals.tensor(),
                                       idx.tensor(), x.size(), k)
@@ -327,7 +313,6 @@ TopKResult Session::topk(const std::vector<half>& x, std::size_t k,
   });
   r.values = std::move(vals.host());
   r.indices = std::move(idx.host());
-  total_ += r.report;
   return r;
 }
 
@@ -337,7 +322,7 @@ SampleResult Session::top_p_sample(const std::vector<half>& probs, double p,
   ASCAN_CHECK(!probs.empty(), "top_p_sample: empty input");
   auto in = dev_.upload(probs);
   SampleResult r;
-  r.report = resilient("top_p_sample", [&] {
+  r.report = run_resilient("top_p_sample", [&] {
     const auto tr = k::top_p_sample(dev_, in.tensor(), probs.size(), p, u,
                                     {.s = tile,
                                      .use_baseline_ops = baseline_ops});
@@ -345,7 +330,6 @@ SampleResult Session::top_p_sample(const std::vector<half>& probs, double p,
     r.nucleus = tr.nucleus;
     return tr.report;
   });
-  total_ += r.report;
   return r;
 }
 
@@ -354,13 +338,12 @@ SampleResult Session::multinomial(const std::vector<half>& weights, double u,
   ASCAN_CHECK(!weights.empty(), "multinomial: empty input");
   auto in = dev_.upload(weights);
   SampleResult r;
-  r.report = resilient("multinomial", [&] {
+  r.report = run_resilient("multinomial", [&] {
     const auto wr =
         k::weighted_sample(dev_, in.tensor(), weights.size(), u, {.s = tile});
     r.index = wr.index;
     return wr.report;
   });
-  total_ += r.report;
   return r;
 }
 
@@ -382,7 +365,7 @@ Session::BatchSampleResult Session::top_p_sample_batch(
   }
   BatchSampleResult r;
   auto in = dev_.upload(probs);
-  r.report = resilient("top_p_sample_batch", [&] {
+  r.report = run_resilient("top_p_sample_batch", [&] {
     Report rep;
     r.tokens.clear();
     r.tokens.reserve(batch);
@@ -394,7 +377,6 @@ Session::BatchSampleResult Session::top_p_sample_batch(
     }
     return rep;
   });
-  total_ += r.report;
   return r;
 }
 
@@ -406,175 +388,12 @@ ValueResult<float> Session::segmented_cumsum(
   auto f = dev_.upload(flags);
   auto out = dev_.alloc<float>(x.size());
   ValueResult<float> r;
-  r.report = resilient("segmented_cumsum", [&] {
+  r.report = run_resilient("segmented_cumsum", [&] {
     return k::segmented_scan(dev_, in.tensor(), f.tensor(), out.tensor(),
                              x.size(), {});
   });
   r.values = std::move(out.host());
-  total_ += r.report;
   return r;
-}
-
-// ---------------------------------------------------------------------------
-// Stepwise (tile-granular) launches. Each step() is its own resilient kernel
-// launch over the same device, so the retry/degradation machinery and the
-// launch-shape timing cache behave exactly as for monolithic calls; the step
-// report is stamped with Report::steps = 1 before aggregation so both the
-// per-stream aggregate and Session::total() count resumable slices.
-
-Session::LaunchStream Session::cumsum_batched_begin(std::size_t tile,
-                                                    bool use_ul1_schedule) {
-  LaunchStream ls;
-  ls.tile = tile;
-  ls.ul1 = use_ul1_schedule;
-  ls.open = true;
-  return ls;
-}
-
-ValueResult<half> Session::cumsum_batched_step(
-    LaunchStream& ls, const std::vector<half>& xs, std::size_t batch,
-    std::size_t len, const std::vector<half>& carries) {
-  ASCAN_CHECK(ls.open, "cumsum_batched_step: stream not open");
-  ASCAN_CHECK(batch > 0, "cumsum_batched_step: batch must be > 0");
-  ASCAN_CHECK(len > 0 && len <= ls.tile * ls.tile,
-              "cumsum_batched_step: len=" << len << " exceeds the l-tile "
-                                          << ls.tile * ls.tile);
-  ASCAN_CHECK(xs.size() == batch * len, "cumsum_batched_step: shape mismatch");
-  ASCAN_CHECK(carries.size() == batch,
-              "cumsum_batched_step: one carry per row");
-  auto in = dev_.upload(xs);
-  auto out = dev_.alloc<half>(xs.size());
-  ValueResult<half> r;
-  r.report = resilient("cumsum_batched_step", [&] {
-    return ls.ul1 ? k::batched_scan_ul1(dev_, in.tensor(), out.tensor(),
-                                        batch, len, {.s = ls.tile})
-                  : k::batched_scan_u(dev_, in.tensor(), out.tensor(), batch,
-                                      len, {.s = ls.tile});
-  });
-  r.values = std::move(out.host());
-  // Apply each row's carry-in host-side: one uniform add per element, exact
-  // for integer-valued workloads (see the header's rounding note).
-  for (std::size_t b = 0; b < batch; ++b) {
-    const float c = static_cast<float>(carries[b]);
-    if (c == 0.0f) continue;
-    for (std::size_t j = 0; j < len; ++j) {
-      half& v = r.values[b * len + j];
-      v = half(static_cast<float>(v) + c);
-    }
-  }
-  r.report.steps = 1;
-  ls.report += r.report;
-  ++ls.steps;
-  total_ += r.report;
-  return r;
-}
-
-Report Session::cumsum_batched_finish(LaunchStream& ls) {
-  ASCAN_CHECK(ls.open, "cumsum_batched_finish: stream not open");
-  ls.open = false;
-  return ls.report;
-}
-
-Session::LaunchStream Session::segmented_cumsum_begin() {
-  LaunchStream ls;
-  ls.open = true;
-  return ls;
-}
-
-ValueResult<float> Session::segmented_cumsum_step(
-    LaunchStream& ls, const std::vector<half>& xs,
-    const std::vector<std::int8_t>& flags,
-    const std::vector<std::size_t>& row_len,
-    const std::vector<float>& carries) {
-  ASCAN_CHECK(ls.open, "segmented_cumsum_step: stream not open");
-  ASCAN_CHECK(!xs.empty(), "segmented_cumsum_step: empty input");
-  ASCAN_CHECK(xs.size() == flags.size(),
-              "segmented_cumsum_step: shape mismatch");
-  ASCAN_CHECK(!row_len.empty() && row_len.size() == carries.size(),
-              "segmented_cumsum_step: one carry per row");
-  std::size_t total = 0;
-  for (std::size_t n : row_len) {
-    ASCAN_CHECK(n > 0, "segmented_cumsum_step: empty row chunk");
-    total += n;
-  }
-  ASCAN_CHECK(total == xs.size(),
-              "segmented_cumsum_step: row lengths don't sum to input size");
-  // Force a segment start at every row boundary so no carry crosses rows
-  // (or steps) in-device; cross-step continuation is the host carry below.
-  std::vector<std::int8_t> forced = flags;
-  std::size_t off = 0;
-  for (std::size_t n : row_len) {
-    forced[off] = 1;
-    off += n;
-  }
-  auto in = dev_.upload(xs);
-  auto f = dev_.upload(forced);
-  auto out = dev_.alloc<float>(xs.size());
-  ValueResult<float> r;
-  r.report = resilient("segmented_cumsum_step", [&] {
-    return k::segmented_scan(dev_, in.tensor(), f.tensor(), out.tensor(),
-                             xs.size(), {});
-  });
-  r.values = std::move(out.host());
-  // Row i's carry-in applies to its leading elements, up to (not including)
-  // the chunk's first real segment start.
-  off = 0;
-  for (std::size_t b = 0; b < row_len.size(); ++b) {
-    if (carries[b] != 0.0f) {
-      for (std::size_t j = 0; j < row_len[b]; ++j) {
-        if (flags[off + j]) break;
-        r.values[off + j] += carries[b];
-      }
-    }
-    off += row_len[b];
-  }
-  r.report.steps = 1;
-  ls.report += r.report;
-  ++ls.steps;
-  total_ += r.report;
-  return r;
-}
-
-Report Session::segmented_cumsum_finish(LaunchStream& ls) {
-  ASCAN_CHECK(ls.open, "segmented_cumsum_finish: stream not open");
-  ls.open = false;
-  return ls.report;
-}
-
-Session::LaunchStream Session::top_p_begin(double p, std::size_t tile) {
-  ASCAN_CHECK(p > 0.0 && p <= 1.0, "top_p_begin: p=" << p << " outside (0, 1]");
-  LaunchStream ls;
-  ls.p = p;
-  ls.tile = tile;
-  ls.open = true;
-  return ls;
-}
-
-SampleResult Session::top_p_step(LaunchStream& ls,
-                                 const std::vector<half>& probs, double u) {
-  ASCAN_CHECK(ls.open, "top_p_step: stream not open");
-  ASCAN_CHECK(!probs.empty(), "top_p_step: empty input");
-  ASCAN_CHECK(u >= 0.0 && u < 1.0, "top_p_step: u=" << u << " outside [0, 1)");
-  auto in = dev_.upload(probs);
-  SampleResult r;
-  r.report = resilient("top_p_step", [&] {
-    const auto tr = k::top_p_sample(dev_, in.tensor(), probs.size(), ls.p, u,
-                                    {.s = ls.tile});
-    r.index = tr.token;
-    r.nucleus = tr.nucleus;
-    return tr.report;
-  });
-  r.report.steps = 1;
-  ls.report += r.report;
-  ++ls.steps;
-  total_ += r.report;
-  return r;
-}
-
-Report Session::top_p_finish(LaunchStream& ls) {
-  ASCAN_CHECK(ls.open, "top_p_finish: stream not open");
-  ls.open = false;
-  return ls.report;
 }
 
 ValueResult<float> Session::reduce(const std::vector<half>& x,
@@ -583,14 +402,13 @@ ValueResult<float> Session::reduce(const std::vector<half>& x,
   auto in = dev_.upload(x);
   ValueResult<float> r;
   float value = 0;
-  r.report = resilient("reduce", [&] {
+  r.report = run_resilient("reduce", [&] {
     const auto rr = use_cube ? k::reduce_cube(dev_, in.tensor(), x.size(), {})
                              : k::reduce_vector(dev_, in.tensor(), x.size());
     value = rr.value;
     return rr.report;
   });
   r.values = {value};
-  total_ += r.report;
   return r;
 }
 

@@ -246,91 +246,20 @@ class Session {
   ValueResult<float> segmented_cumsum(const std::vector<half>& x,
                                       const std::vector<std::int8_t>& flags);
 
-  // --- Stepwise (tile-granular) launches --------------------------------------
-  //
-  // Iteration-level entry points for a serving layer: instead of one opaque
-  // call over the whole batch, the caller drives the operator one
-  // tile-column at a time — begin() fixes the launch shape, each step()
-  // runs one resumable slice (its own resilient kernel launch, so the
-  // retry/degradation state machine and the launch-shape timing cache apply
-  // per step), finish() returns the aggregated Report with Report::steps
-  // stamped. Between steps the caller may change the row set: every row's
-  // outputs depend only on its own data and carry-in, never on batch
-  // composition, which is what makes mid-launch admission bit-exact with a
-  // standalone run of the same request (tests/test_serve.cpp pins this).
-  //
-  // Rounding note: a step applies the row carry as one uniform fp add per
-  // element, where the monolithic kernels chain carries at s-element
-  // granularity — for integer-valued data both are exact and identical; for
-  // general fp data they may differ by the usual 1-ulp reassociation
-  // already documented for batched serving.
-
-  /// In-progress stepwise launch: aggregated accounting plus the fixed
-  /// group shape. Treat as opaque outside Session and the serving layer.
-  struct LaunchStream {
-    Report report;           ///< sum of the steps' reports so far
-    int steps = 0;           ///< step() calls so far
-    std::size_t tile = 128;  ///< matrix tile edge s of the group
-    bool ul1 = false;        ///< Cumsum: ScanUL1 row schedule
-    double p = 0;            ///< TopP: nucleus mass of the group
-    bool open = false;       ///< begin() called, finish() not yet
-  };
-
-  /// Stepwise batched row scan. Each step scans `batch` packed rows of
-  /// `len` fp16 elements (len <= tile*tile, the kernel's l-tile) and adds
-  /// `carries[i]` — row i's running prefix from its previous steps — to
-  /// every element of row i. Rows shorter than `len` must be zero-padded
-  /// (trailing zeros cannot change any valid prefix). The caller reads row
-  /// i's carry-out from its last valid output element.
-  LaunchStream cumsum_batched_begin(std::size_t tile = 128,
-                                    bool use_ul1_schedule = false);
-  ValueResult<half> cumsum_batched_step(LaunchStream& ls,
-                                        const std::vector<half>& xs,
-                                        std::size_t batch, std::size_t len,
-                                        const std::vector<half>& carries);
-  Report cumsum_batched_finish(LaunchStream& ls);
-
-  /// Stepwise segmented scan over concatenated per-row chunks. `xs`/`flags`
-  /// hold sum(row_len) elements: row i's next chunk of its flagged stream.
-  /// Each row's chunk start is treated as a forced segment start inside the
-  /// kernel (so no carry crosses rows or steps in-device); `carries[i]` —
-  /// row i's running prefix — is then added to row i's elements up to (not
-  /// including) the first real flag of the chunk. The caller reads row i's
-  /// carry-out from its last output element.
-  LaunchStream segmented_cumsum_begin();
-  ValueResult<float> segmented_cumsum_step(
-      LaunchStream& ls, const std::vector<half>& xs,
-      const std::vector<std::int8_t>& flags,
-      const std::vector<std::size_t>& row_len,
-      const std::vector<float>& carries);
-  Report segmented_cumsum_finish(LaunchStream& ls);
-
-  /// Stepwise batched nucleus sampling: one row per step (a row's sample is
-  /// already a multi-kernel pipeline, so the row is the natural resumable
-  /// slice). Identical to top_p_sample of the row — the monolithic batch
-  /// path loops the same per-row kernel.
-  LaunchStream top_p_begin(double p, std::size_t tile = 128);
-  SampleResult top_p_step(LaunchStream& ls, const std::vector<half>& probs,
-                          double u);
-  Report top_p_finish(LaunchStream& ls);
-
   /// Sum reduction; `use_cube` accumulates on the cube units' L0C path.
   ValueResult<float> reduce(const std::vector<half>& x, bool use_cube = true);
 
   // --- Composition hooks ------------------------------------------------------
 
   /// Runs a caller-composed sequence of kernel calls under the session's
-  /// retry/degradation state machine, exactly like a built-in operator.
-  /// `attempt` must be idempotent-relaunchable (the kernels are). This is
-  /// the re-entry point for higher layers — src/serve uses it so a whole
-  /// coalesced batch launch retries/degrades as one unit.
+  /// retry/degradation state machine, exactly like a built-in operator
+  /// (every operator above runs through it), and folds the call's Report
+  /// into total(). `attempt` performs the kernel call(s) and returns their
+  /// report; it is re-invoked verbatim on retry, so it must be
+  /// idempotent-relaunchable (the kernels are).
   Report run_resilient(const char* what, const std::function<Report()>& attempt);
 
  private:
-  /// Runs one operator attempt under the retry/degradation state machine.
-  /// `attempt` performs the kernel call(s) and returns their report; it is
-  /// re-invoked verbatim on retry (kernels are idempotent-relaunchable).
-  Report resilient(const char* what, const std::function<Report()>& attempt);
   Report resilient_loop(const std::function<Report()>& attempt);
 
   /// Takes the faulted AI core offline: rebuilds the device with blocks-1,

@@ -277,9 +277,8 @@ Cluster::Placed Cluster::place(const Request& r,
       least = i;
     }
   }
-  // Keep GroupKey locality (timing cache, batch coalescing) unless the
-  // affinity device has fallen spill_margin requests behind the least
-  // loaded one.
+  // Keep GroupKey locality (batch coalescing) unless the affinity device
+  // has fallen spill_margin requests behind the least loaded one.
   if (loads[static_cast<std::size_t>(target)] >
       loads[static_cast<std::size_t>(least)] + spill_margin_) {
     metrics_.on_routed_spill();

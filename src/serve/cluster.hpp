@@ -7,10 +7,10 @@
 //
 //  * Locality-aware placement — requests hash by their coalescing GroupKey
 //    (FNV-1a, deterministic across runs and platforms) to an affinity
-//    device, so same-shape traffic lands where the device's timing cache
-//    and batch former already hold that shape. When the affinity target is
-//    overloaded (queue deeper than the least-loaded device by more than
-//    spill_margin), the request spills to the least-loaded device instead;
+//    device, so same-shape traffic lands on one device's batch former and
+//    coalesces there. When the affinity target is overloaded (queue
+//    deeper than the least-loaded device by more than spill_margin), the
+//    request spills to the least-loaded device instead;
 //    both outcomes are counted (routed_affinity / routed_spill).
 //
 //  * Cross-device work stealing — an idle device polls its siblings and

@@ -218,6 +218,27 @@ void Engine::note_removed(const Pending& p) {
   key_pending_[wake_bucket(p.req)].fetch_sub(1, std::memory_order_relaxed);
 }
 
+void Engine::note_added(const Pending& p) {
+  depth_.fetch_add(1, std::memory_order_seq_cst);
+  if (p.req.priority != Priority::Interactive) {
+    bulk_depth_.fetch_add(1, std::memory_order_relaxed);
+  }
+  key_pending_[wake_bucket(p.req)].fetch_add(1, std::memory_order_relaxed);
+}
+
+std::vector<Pending> Engine::take_all_locked() {
+  std::vector<Pending> out;
+  drain_inbox_locked();
+  const BatchPolicy flush{.max_batch = 1, .max_wait_s = 0};
+  while (!queue_.empty()) {
+    for (auto& p : queue_.pop_batch(flush, Clock::now())) {
+      note_removed(p);
+      out.push_back(std::move(p));
+    }
+  }
+  return out;
+}
+
 bool Engine::steal_and_execute(Session& session,
                                std::unique_lock<std::mutex>& lk) {
   // Lock rule: never hold this engine's mu_ while reaching into a sibling
@@ -324,10 +345,8 @@ void Engine::worker_main(std::size_t idx) {
         });
       }
       drain_inbox_locked();
-      if (queue_.empty()) {
-        if (stopping_.load()) continue;  // re-enter the drain/cancel epilogue
-        continue;                        // another worker took the work
-      }
+      // Another worker took the work, or a stop re-enters the epilogue.
+      if (queue_.empty()) continue;
       if (stopping_.load() && stop_mode_ == ShutdownMode::Cancel) break;
 
       const auto picked = Clock::now();
@@ -416,22 +435,152 @@ void Engine::fulfill_finalized(std::vector<StreamSlot>& slots) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Row steppers of the resumable scans. run_group_stepwise drives both
+// through one step loop; each step is one ordinary Session operator call
+// over the active rows' next chunks:
+//  * take(slots, act) gathers those chunks into the step buffers, which
+//    live across steps so assign/insert reuse their capacity;
+//  * launch(session) makes the operator call and returns its Report;
+//  * carry_out(slot, j) appends row j's outputs to the slot's response,
+//    continued by the row's carry from its previous steps, and advances
+//    the slot's offset and carry.
+
+/// Cumsum: one step = one l-tile column (l = s*s elements) of every active
+/// row, zero-padded to the step's longest remainder — trailing zeros
+/// cannot change any prefix, so a row's first chunk(s) outputs are exactly
+/// its own scan, continued by its carry.
+struct Engine::CumsumRows {
+  std::size_t tile = 128;
+  bool ul1 = false;
+  std::size_t rows = 0;  ///< rows of the current step
+  std::size_t len = 0;   ///< padded row length of the current step
+  std::vector<half> xs;
+  std::vector<half> ys;
+
+  template <typename R>
+  static auto& values(R& r) {
+    return r.values_f16;
+  }
+
+  std::size_t chunk(const StreamSlot& s) const {
+    return std::min(len, s.p.req.x.size() - s.off);
+  }
+
+  void take(const std::vector<StreamSlot>& slots,
+            const std::vector<std::size_t>& act) {
+    rows = act.size();
+    len = 0;
+    for (std::size_t i : act) {
+      len = std::max(len, std::min(tile * tile,
+                                   slots[i].p.req.x.size() - slots[i].off));
+    }
+    xs.assign(rows * len, half(0.0f));
+    for (std::size_t j = 0; j < rows; ++j) {
+      const StreamSlot& s = slots[act[j]];
+      const auto first = s.p.req.x.begin() + static_cast<std::ptrdiff_t>(s.off);
+      std::copy(first, first + static_cast<std::ptrdiff_t>(chunk(s)),
+                xs.begin() + static_cast<std::ptrdiff_t>(j * len));
+    }
+  }
+
+  Report launch(Session& session) {
+    auto r = session.cumsum_batched(xs, rows, len, tile, ul1);
+    ys = std::move(r.values);
+    return r.report;
+  }
+
+  // Rounding note: a step applies the row carry as one uniform fp add per
+  // element, where the monolithic kernels chain carries at s-element
+  // granularity — for integer-valued data both are exact and identical; for
+  // general fp data they may differ by the usual 1-ulp reassociation
+  // already documented for batched serving.
+  void carry_out(StreamSlot& s, std::size_t j) {
+    const std::size_t n = chunk(s);
+    const auto first = ys.begin() + static_cast<std::ptrdiff_t>(j * len);
+    auto& v = s.resp.values_f16;
+    const std::size_t base = v.size();
+    v.insert(v.end(), first, first + static_cast<std::ptrdiff_t>(n));
+    const float c = static_cast<float>(s.carry);
+    if (c != 0.0f) {
+      for (std::size_t k = base; k < v.size(); ++k) {
+        v[k] = half(static_cast<float>(v[k]) + c);
+      }
+    }
+    s.carry = v.back();
+    s.off += n;
+  }
+};
+
+/// SegmentedCumsum: rows are independent flagged streams of different
+/// lengths; one step takes every active row's next chunk (up to kStep
+/// elements), concatenated, with a segment start forced at each chunk's
+/// first element so no carry crosses rows or steps in-device.
+struct Engine::SegmentedRows {
+  static constexpr std::size_t kStep = 4096;
+  std::vector<half> xs;
+  std::vector<std::int8_t> fs;
+  std::vector<std::size_t> at;  ///< row j's first element in xs
+  std::vector<float> ys;
+
+  template <typename R>
+  static auto& values(R& r) {
+    return r.values_f32;
+  }
+
+  static std::size_t chunk(const StreamSlot& s) {
+    return std::min(kStep, s.p.req.x.size() - s.off);
+  }
+
+  void take(const std::vector<StreamSlot>& slots,
+            const std::vector<std::size_t>& act) {
+    xs.clear();
+    fs.clear();
+    at.resize(act.size());
+    for (std::size_t j = 0; j < act.size(); ++j) {
+      const StreamSlot& s = slots[act[j]];
+      const auto off = static_cast<std::ptrdiff_t>(s.off);
+      const auto end = static_cast<std::ptrdiff_t>(s.off + chunk(s));
+      at[j] = xs.size();
+      xs.insert(xs.end(), s.p.req.x.begin() + off, s.p.req.x.begin() + end);
+      fs.insert(fs.end(), s.p.req.flags.begin() + off,
+                s.p.req.flags.begin() + end);
+      fs[at[j]] = 1;
+    }
+  }
+
+  Report launch(Session& session) {
+    auto r = session.segmented_cumsum(xs, fs);
+    ys = std::move(r.values);
+    return r.report;
+  }
+
+  // The carry applies to the row's leading elements, up to (not including)
+  // the chunk's first real segment start.
+  void carry_out(StreamSlot& s, std::size_t j) {
+    const std::size_t n = chunk(s);
+    const auto first = ys.begin() + static_cast<std::ptrdiff_t>(at[j]);
+    auto& v = s.resp.values_f32;
+    const std::size_t base = v.size();
+    v.insert(v.end(), first, first + static_cast<std::ptrdiff_t>(n));
+    if (s.fcarry != 0.0f) {
+      for (std::size_t k = 0; k < n && !s.p.req.flags[s.off + k]; ++k) {
+        v[base + k] += s.fcarry;
+      }
+    }
+    s.fcarry = v.back();
+    s.off += n;
+  }
+};
+
 void Engine::run_group_stepwise(Session& session,
                                 std::vector<StreamSlot>& slots,
                                 GroupExec mode) {
-  const Request& head = slots.front().p.req;
-  const GroupKey key = group_key(head);
+  // A copy: continuation admission may reallocate `slots`.
+  const GroupKey key = group_key(slots.front().p.req);
   const std::uint64_t launch_id =
       next_launch_id_.fetch_add(1, std::memory_order_relaxed);
   const bool allow_admit = mode == GroupExec::Local && opt_.policy.continuous;
-  // Tile-boundary preemption is confined to the resumable scans: their
-  // host-side carry makes a park/resume bit-exact (the same property the
-  // failover checkpoints lean on). Sort is monolithic and TopP rows are
-  // atomic, so neither has a boundary worth parking at. Only Local
-  // launches park — a thief must return a stolen batch complete.
-  const bool preemptible =
-      mode == GroupExec::Local && opt_.policy.preemption &&
-      (head.kind == OpKind::Cumsum || head.kind == OpKind::SegmentedCumsum);
   // Stolen batches never stream: the thief runs them as one indivisible
   // throughput unit (see GroupExec).
   const auto streams = [&](const StreamSlot& s) {
@@ -446,178 +595,79 @@ void Engine::run_group_stepwise(Session& session,
     for (const auto& s : slots) n += s.p.req.canary ? 1u : 0u;
     return n;
   };
-  // Copy of the aggregate report after the latest completed step, for the
-  // partial-accounting path when a later step faults.
-  Report partial;
-  // Final aggregate report of a completed launch, fed (with the fault
-  // outcome) to the cluster health monitor after the switch.
-  Report fin;
-  try {
-    switch (head.kind) {
-      case OpKind::Cumsum: {
-        // One step = one l-tile column (l = s*s elements) of every active
-        // row, zero-padded to the step's longest remainder — trailing
-        // zeros cannot change any prefix, so each row's first take_i
-        // outputs are exactly the row's own scan continued by its carry.
-        auto ls = session.cumsum_batched_begin(head.tile, head.ul1_schedule);
-        const std::size_t l = head.tile * head.tile;
-        // Step scratch lives across iterations; assign/resize reuse its
-        // capacity instead of reallocating every step.
-        std::vector<std::size_t> act;
-        std::vector<half> xs;
-        std::vector<half> carries;
-        for (;;) {
-          const auto step_begin = Clock::now();
-          act.clear();
-          std::size_t step_len = 0;
-          for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (slots[i].done) continue;
-            act.push_back(i);
-            step_len = std::max(
-                step_len, std::min(l, slots[i].p.req.x.size() - slots[i].off));
-          }
-          if (act.empty()) break;
-          xs.assign(act.size() * step_len, half(0.0f));
-          carries.resize(act.size());
-          for (std::size_t j = 0; j < act.size(); ++j) {
-            const StreamSlot& s = slots[act[j]];
-            const std::size_t take =
-                std::min(step_len, s.p.req.x.size() - s.off);
-            std::copy(
-                s.p.req.x.begin() + static_cast<std::ptrdiff_t>(s.off),
-                s.p.req.x.begin() + static_cast<std::ptrdiff_t>(s.off + take),
-                xs.begin() + static_cast<std::ptrdiff_t>(j * step_len));
-            carries[j] = s.carry;
-          }
-          auto r = session.cumsum_batched_step(ls, xs, act.size(), step_len,
-                                               carries);
-          partial = ls.report;
-          for (std::size_t j = 0; j < act.size(); ++j) {
-            StreamSlot& s = slots[act[j]];
-            const std::size_t take =
-                std::min(step_len, s.p.req.x.size() - s.off);
-            const auto first =
-                r.values.begin() + static_cast<std::ptrdiff_t>(j * step_len);
-            const std::size_t chunk_off = s.off;
-            s.resp.values_f16.insert(
-                s.resp.values_f16.end(), first,
-                first + static_cast<std::ptrdiff_t>(take));
-            s.carry = s.resp.values_f16.back();
-            s.off += take;
-            const bool finished = s.off == s.p.req.x.size();
-            if (streams(s)) {
-              StreamChunk c;
-              c.offset = chunk_off;
-              c.values_f16.assign(
-                  first, first + static_cast<std::ptrdiff_t>(take));
-              c.last = finished;
-              deliver_chunk(s, std::move(c), launch_id);
-            }
-            if (finished) {
-              finalize_slot(s, ls.report, slots.size(), launch_id);
-            }
-          }
-          // One wakeup pass for every row the step finished, before
-          // admission so the freed clients' follow-ups can seat here.
-          fulfill_finalized(slots);
-          if (allow_admit) admit_continuations(slots, key, act.size());
-          if (preemptible &&
-              should_preempt(key, slots, secs(Clock::now() - step_begin))) {
-            park_unfinished(slots);
-            break;
-          }
+  // Sum of the completed steps' Reports: the partial accounting when a
+  // later step faults, the launch's Report when every step completed.
+  Report agg;
+  // The step loop of the resumable scans: gather -> launch -> scatter and
+  // carry -> stream -> finalize -> fulfil -> admit -> preempt. Tile-boundary
+  // preemption is confined to these two ops: their host-side carry makes a
+  // park/resume bit-exact (the same property the failover checkpoints lean
+  // on). Only Local launches park — a thief must return a stolen batch
+  // complete.
+  const bool preemptible = mode == GroupExec::Local && opt_.policy.preemption;
+  const auto run_steps = [&](auto& rows) {
+    std::vector<std::size_t> act;
+    for (;;) {
+      const auto step_begin = Clock::now();
+      act.clear();
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (!slots[i].done) act.push_back(i);
+      }
+      if (act.empty()) return;
+      rows.take(slots, act);
+      Report step = rows.launch(session);
+      step.steps = 1;
+      agg += step;
+      for (std::size_t j = 0; j < act.size(); ++j) {
+        StreamSlot& s = slots[act[j]];
+        const std::size_t chunk_off = s.off;
+        rows.carry_out(s, j);
+        const bool finished = s.off == s.p.req.x.size();
+        if (streams(s)) {
+          const auto& v = rows.values(s.resp);
+          StreamChunk c;
+          c.offset = chunk_off;
+          rows.values(c).assign(
+              v.end() - static_cast<std::ptrdiff_t>(s.off - chunk_off),
+              v.end());
+          c.last = finished;
+          deliver_chunk(s, std::move(c), launch_id);
         }
-        fin = session.cumsum_batched_finish(ls);
-        metrics_.on_batch(slots.size(), fin);
+        if (finished) finalize_slot(s, agg, slots.size(), launch_id);
+      }
+      // One wakeup pass for every row the step finished, before
+      // admission so the freed clients' follow-ups can seat here.
+      fulfill_finalized(slots);
+      if (allow_admit) admit_continuations(slots, key, act.size());
+      if (preemptible &&
+          should_preempt(key, slots, secs(Clock::now() - step_begin))) {
+        park_unfinished(slots);
+        return;
+      }
+    }
+  };
+  try {
+    switch (key.kind) {
+      case OpKind::Cumsum: {
+        CumsumRows rows{.tile = key.tile, .ul1 = key.ul1};
+        run_steps(rows);
         break;
       }
       case OpKind::SegmentedCumsum: {
-        // Rows are independent flagged streams of different lengths; each
-        // step takes every active row's next chunk (up to kStep elements),
-        // concatenated — the Session forces a segment start per chunk and
-        // threads each row's fp32 carry across steps.
-        constexpr std::size_t kStep = 4096;
-        auto ls = session.segmented_cumsum_begin();
-        std::vector<std::size_t> act;
-        std::vector<half> xs;
-        std::vector<std::int8_t> fs;
-        std::vector<std::size_t> row_len;
-        std::vector<float> carries;
-        for (;;) {
-          const auto step_begin = Clock::now();
-          act.clear();
-          for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (!slots[i].done) act.push_back(i);
-          }
-          if (act.empty()) break;
-          xs.clear();
-          fs.clear();
-          row_len.resize(act.size());
-          carries.resize(act.size());
-          for (std::size_t j = 0; j < act.size(); ++j) {
-            const StreamSlot& s = slots[act[j]];
-            const std::size_t take =
-                std::min(kStep, s.p.req.x.size() - s.off);
-            row_len[j] = take;
-            carries[j] = s.fcarry;
-            xs.insert(xs.end(),
-                      s.p.req.x.begin() + static_cast<std::ptrdiff_t>(s.off),
-                      s.p.req.x.begin() +
-                          static_cast<std::ptrdiff_t>(s.off + take));
-            fs.insert(fs.end(),
-                      s.p.req.flags.begin() +
-                          static_cast<std::ptrdiff_t>(s.off),
-                      s.p.req.flags.begin() +
-                          static_cast<std::ptrdiff_t>(s.off + take));
-          }
-          auto r = session.segmented_cumsum_step(ls, xs, fs, row_len, carries);
-          partial = ls.report;
-          std::size_t roff = 0;
-          for (std::size_t j = 0; j < act.size(); ++j) {
-            StreamSlot& s = slots[act[j]];
-            const std::size_t take = row_len[j];
-            const auto first =
-                r.values.begin() + static_cast<std::ptrdiff_t>(roff);
-            const std::size_t chunk_off = s.off;
-            s.resp.values_f32.insert(
-                s.resp.values_f32.end(), first,
-                first + static_cast<std::ptrdiff_t>(take));
-            s.fcarry = s.resp.values_f32.back();
-            s.off += take;
-            roff += take;
-            const bool finished = s.off == s.p.req.x.size();
-            if (streams(s)) {
-              StreamChunk c;
-              c.offset = chunk_off;
-              c.values_f32.assign(
-                  first, first + static_cast<std::ptrdiff_t>(take));
-              c.last = finished;
-              deliver_chunk(s, std::move(c), launch_id);
-            }
-            if (finished) {
-              finalize_slot(s, ls.report, slots.size(), launch_id);
-            }
-          }
-          fulfill_finalized(slots);
-          if (allow_admit) admit_continuations(slots, key, act.size());
-          if (preemptible &&
-              should_preempt(key, slots, secs(Clock::now() - step_begin))) {
-            park_unfinished(slots);
-            break;
-          }
-        }
-        fin = session.segmented_cumsum_finish(ls);
-        metrics_.on_batch(slots.size(), fin);
+        SegmentedRows rows;
+        run_steps(rows);
         break;
       }
       case OpKind::TopP: {
         // A row's sample is already a multi-kernel pipeline, so one step =
-        // one row; the single chunk carries the token.
-        auto ls = session.top_p_begin(head.p, head.tile);
+        // one row; the single chunk carries the token. Admission counts
+        // the rows still to run after this one.
         for (std::size_t i = 0; i < slots.size(); ++i) {
           StreamSlot& s = slots[i];
-          auto sr = session.top_p_step(ls, s.p.req.x, s.p.req.u);
-          partial = ls.report;
+          auto sr = session.top_p_sample(s.p.req.x, key.p, s.p.req.u,
+                                         /*baseline_ops=*/false, key.tile);
+          sr.report.steps = 1;
+          agg += sr.report;
           s.resp.token = sr.index;
           if (streams(s)) {
             StreamChunk c;
@@ -625,14 +675,12 @@ void Engine::run_group_stepwise(Session& session,
             c.last = true;
             deliver_chunk(s, std::move(c), launch_id);
           }
-          finalize_slot(s, ls.report, slots.size(), launch_id);
+          finalize_slot(s, agg, slots.size(), launch_id);
           fulfill_finalized(slots);
           if (allow_admit) {
             admit_continuations(slots, key, slots.size() - (i + 1));
           }
         }
-        fin = session.top_p_finish(ls);
-        metrics_.on_batch(slots.size(), fin);
         break;
       }
       case OpKind::Sort: {
@@ -644,17 +692,17 @@ void Engine::run_group_stepwise(Session& session,
                               s.p.req.sort_algo, s.p.req.tile);
         s.resp.sorted_values = std::move(r.values);
         s.resp.indices = std::move(r.indices);
-        fin = r.report;
-        metrics_.on_batch(1, fin);
-        finalize_slot(s, fin, 1, launch_id);
+        agg = r.report;
+        finalize_slot(s, agg, 1, launch_id);
         break;
       }
     }
+    metrics_.on_batch(slots.size(), agg);
   } catch (const ascend::sim::FaultError& e) {
     // The traffic a fault burned must not vanish from the bandwidth
     // figures: completed steps plus the failing attempt are recorded
     // against failed_batches before the fallback path takes over.
-    Report burned = partial;
+    Report burned = agg;
     burned += e.attempt_report();
     metrics_.on_batch_abandoned(burned);
     // Health outcome before rethrow: the cluster's failover_sink (run by
@@ -664,14 +712,14 @@ void Engine::run_group_stepwise(Session& session,
     }
     throw;
   } catch (...) {
-    metrics_.on_batch_abandoned(partial);
+    metrics_.on_batch_abandoned(agg);
     if (opt_.outcome_sink) {
-      opt_.outcome_sink(true, partial.retries, canary_count());
+      opt_.outcome_sink(true, agg.retries, canary_count());
     }
     throw;
   }
   if (opt_.outcome_sink) {
-    opt_.outcome_sink(false, fin.retries, canary_count());
+    opt_.outcome_sink(false, agg.retries, canary_count());
   }
 }
 
@@ -856,11 +904,7 @@ void Engine::requeue_parked(std::vector<StreamSlot>& slots) {
     // dangles either way. The depth ticket is re-claimed without a cap
     // check: the rows were admitted once and never left the engine.
     for (auto& p : parked) {
-      depth_.fetch_add(1, std::memory_order_seq_cst);
-      if (p.req.priority != Priority::Interactive) {
-        bulk_depth_.fetch_add(1, std::memory_order_relaxed);
-      }
-      key_pending_[wake_bucket(p.req)].fetch_add(1, std::memory_order_relaxed);
+      note_added(p);
       queue_.push(std::move(p));
     }
   }
@@ -950,15 +994,7 @@ void Engine::finish_shutdown() {
   std::vector<Pending> leftovers;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    drain_inbox_locked();
-    const BatchPolicy flush{.max_batch = 1, .max_wait_s = 0};
-    while (!queue_.empty()) {
-      auto b = queue_.pop_batch(flush, Clock::now());
-      for (auto& p : b) {
-        note_removed(p);
-        leftovers.push_back(std::move(p));
-      }
-    }
+    leftovers = take_all_locked();
     stopped_ = true;
   }
   for (auto& p : leftovers) {
@@ -1019,11 +1055,7 @@ bool Engine::inject(Pending& p) {
     // local depth ticket is claimed so queue_depth() stays truthful for
     // placement and the capacity check backs off accordingly.
     p.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    depth_.fetch_add(1, std::memory_order_seq_cst);
-    if (p.req.priority != Priority::Interactive) {
-      bulk_depth_.fetch_add(1, std::memory_order_relaxed);
-    }
-    key_pending_[wake_bucket(p.req)].fetch_add(1, std::memory_order_relaxed);
+    note_added(p);
     queue_.push(std::move(p));
   }
   wake_all_waiters();
@@ -1031,22 +1063,12 @@ bool Engine::inject(Pending& p) {
 }
 
 std::vector<Pending> Engine::drain_queue() {
-  std::vector<Pending> out;
   std::lock_guard<std::mutex> lk(mu_);
   // Shutdown owns the queue's requests (Drain executes them, Cancel
   // resolves them Cancelled in finish_shutdown); draining here would
   // race that accounting.
-  if (stopping_.load() || stopped_) return out;
-  drain_inbox_locked();
-  const BatchPolicy flush{.max_batch = 1, .max_wait_s = 0};
-  while (!queue_.empty()) {
-    auto b = queue_.pop_batch(flush, Clock::now());
-    for (auto& p : b) {
-      note_removed(p);
-      out.push_back(std::move(p));
-    }
-  }
-  return out;
+  if (stopping_.load() || stopped_) return {};
+  return take_all_locked();
 }
 
 Engine::DeviceStats Engine::device_stats() const {

@@ -11,9 +11,9 @@
 //   serve::Response r = fut.get();      // r.values_f16, r.report, r.timing
 //   engine.shutdown(serve::ShutdownMode::Drain);
 //
-// Coalesced launches run *stepwise* (tile-granular slices via the Session
-// begin/step/finish API) rather than as one opaque call, which buys two
-// serving behaviours on the same step boundary:
+// Coalesced launches run *stepwise* (tile-granular slices, each one
+// ordinary Session operator call) rather than as one opaque call, which
+// buys two serving behaviours on the same step boundary:
 //  * Continuous batching: between steps the worker re-checks the queue and
 //    admits compatible newly-arrived requests (same GroupKey) into the
 //    in-flight launch's free rows — iteration-level scheduling, toggled by
@@ -220,13 +220,19 @@ class Engine {
                      GroupExec mode = GroupExec::Local);
   /// Runs one request alone under its request-scoped RetryPolicy.
   void execute_single(Session& session, Pending& p, Clock::time_point picked);
-  /// Drives the coalesced launch tile-by-tile via the Session stepwise API:
-  /// scatters every completed slice into its slot (streaming it when the
-  /// request asked), resolves slots the moment their last slice lands, and
-  /// between steps admits compatible queued requests into free rows (mode
-  /// Local + policy.continuous). On a typed fault it records the partial
-  /// Report (failed_batches / sim_* counters) and rethrows with every
-  /// unresolved slot's Pending intact for the caller's fallback.
+  /// Row steppers of the resumable scans (Cumsum, SegmentedCumsum): the
+  /// per-op gather, Session operator call and carry-out of one step.
+  struct CumsumRows;
+  struct SegmentedRows;
+
+  /// Drives the coalesced launch step by step, each step one ordinary
+  /// Session operator call: scatters every completed slice into its slot
+  /// (streaming it when the request asked), resolves slots the moment
+  /// their last slice lands, and between steps admits compatible queued
+  /// requests into free rows (mode Local + policy.continuous). On a typed
+  /// fault it records the partial Report (failed_batches / sim_* counters)
+  /// and rethrows with every unresolved slot's Pending intact for the
+  /// caller's fallback.
   void run_group_stepwise(Session& session, std::vector<StreamSlot>& slots,
                           GroupExec mode);
   /// Continuation admission: pops queued requests matching `key` into
@@ -302,6 +308,13 @@ class Engine {
   /// drain, flush): undoes the depth_/bulk_depth_ admission ticket and the
   /// formation-wake bucket count.
   void note_removed(const Pending& p);
+  /// The inverse of note_removed, for an already-admitted request that
+  /// re-enters the queue (failover inject, preemption requeue): claims the
+  /// depth ticket without a cap check.
+  void note_added(const Pending& p);
+  /// Empties inbox and queue into the returned vector, in pop order, with
+  /// each request's accounting undone. Callers hold mu_.
+  std::vector<Pending> take_all_locked();
   /// key_pending_ bucket of a request's GroupKey (formation-wake
   /// heuristic).
   static std::size_t wake_bucket(const Request& r) {

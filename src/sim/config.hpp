@@ -119,11 +119,6 @@ struct MachineConfig {
   /// Sub-core execution strategy (see ExecutorMode). Runtime-switchable via
   /// ASCAN_EXECUTOR when left at Auto.
   ExecutorMode executor = ExecutorMode::Auto;
-  /// Opt-in launch-shape timing cache: identical repeated launches skip the
-  /// discrete-event replay once their Report has provably converged. Always
-  /// bypassed when a fault injector is armed or a Timeline is requested.
-  /// The ASCAN_TIMING_CACHE environment variable overrides this field.
-  bool timing_cache = false;
 
   // --- Derived helpers ---------------------------------------------------------
   double cycles_to_s(double cycles) const { return cycles / clock_hz; }

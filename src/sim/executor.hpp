@@ -1,7 +1,5 @@
-// Host execution engine primitives: the persistent sub-core worker pool
-// that replaces thread-per-launch spawning, and the launch-shape timing
-// cache that lets constant-shape repeated launches skip the discrete-event
-// replay.
+// Host execution engine primitive: the persistent sub-core worker pool
+// that replaces thread-per-launch spawning.
 //
 // Motivation (see DESIGN.md "Host execution engine"): every kernel launch
 // used to create and join up to 60 fresh std::threads and re-allocate every
@@ -9,33 +7,23 @@
 // (radix sort, batched top-p sampling) pay that cost thousands of times per
 // figure, making the *host* the bottleneck of the machine model. The pieces
 // here keep that state alive across launches without changing any simulated
-// result: pooled execution is bit-identical to spawned execution, and a
-// timing-cache hit returns a Report that a replay would have reproduced
-// bit-exactly.
+// result: pooled execution is bit-identical to spawned execution.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/config.hpp"
-#include "sim/report.hpp"
-#include "sim/trace.hpp"
 
 namespace ascend::sim {
 
 /// Resolves MachineConfig::executor: Auto consults the ASCAN_EXECUTOR
 /// environment variable ("spawn" or "pool") and defaults to Pool.
 ExecutorMode resolve_executor_mode(ExecutorMode requested);
-
-/// Resolves MachineConfig::timing_cache: the ASCAN_TIMING_CACHE environment
-/// variable ("1"/"on" or "0"/"off") overrides the config field when set.
-bool resolve_timing_cache(bool requested);
 
 /// Persistent pool of sub-core workers. One launch dispatches `n` bodies,
 /// each of which may block on launch barriers/flags until every sibling has
@@ -105,85 +93,6 @@ class SubcorePool {
   const std::function<void(int)>* body_ = nullptr;
   mutable std::mutex threads_mu_;  ///< guards threads_ growth vs workers()
   std::vector<std::thread> threads_;
-};
-
-/// Interleaving-independent fingerprint of a KernelTrace. Op ids are
-/// assigned by a shared atomic counter and therefore differ between runs of
-/// the same kernel; the fingerprint canonicalises every id to
-/// (sub-core, position-within-sub-core) before hashing so identical launches
-/// hash identically regardless of host-thread timing. `id_scratch` is reused
-/// between calls to avoid an allocation per launch.
-std::uint64_t trace_fingerprint(const KernelTrace& trace,
-                                std::vector<std::uint64_t>& id_scratch);
-
-/// Identity of a launch shape for the timing cache. Two launches with equal
-/// keys replay to bit-identical Reports provided the L2 starts in the same
-/// state — which is what the generation check below enforces.
-struct LaunchKey {
-  std::string name;            ///< LaunchSpec::name
-  int mode = 0;                ///< LaunchMode as int
-  int block_dim = 0;
-  std::uint64_t fingerprint = 0;  ///< trace_fingerprint of the launch
-  std::uint64_t watchdog_bits = 0;  ///< effective deadline, bit pattern
-
-  bool operator==(const LaunchKey& o) const {
-    return mode == o.mode && block_dim == o.block_dim &&
-           fingerprint == o.fingerprint && watchdog_bits == o.watchdog_bits &&
-           name == o.name;
-  }
-};
-
-struct LaunchKeyHash {
-  std::size_t operator()(const LaunchKey& k) const;
-};
-
-/// Opt-in memo of Report results for repeated identical launches.
-///
-/// Soundness rule (the "L2 generation" check): a cached Report may be
-/// returned only when (a) the entry has been observed *stable* — two
-/// consecutive replays of the same key produced bit-identical Reports, i.e.
-/// the L2 has converged to its steady state for this launch shape — and
-/// (b) nothing has perturbed the L2 since the stable observation: no other
-/// replay ran and the L2 was not reset (`generation` folds both in). A hit
-/// therefore leaves the device in a state where replaying would have
-/// changed nothing observable; skipping the replay is bit-exact.
-///
-/// Callers must bypass the cache entirely when a fault injector is armed
-/// (fault decisions are keyed on the per-attempt launch ordinal) or when a
-/// Timeline is requested (a hit has no schedule to export).
-class TimingCache {
- public:
-  struct Stats {
-    std::uint64_t lookups = 0;   ///< cache-eligible launches
-    std::uint64_t hits = 0;      ///< replays skipped
-    std::uint64_t misses = 0;    ///< replays run while the cache was on
-    std::uint64_t bypasses = 0;  ///< launches ineligible (fault/timeline)
-  };
-
-  /// Returns the cached Report when the entry is stable and `generation`
-  /// matches the stable observation; nullptr forces a replay.
-  const Report* lookup(const LaunchKey& key, std::uint64_t generation);
-
-  /// Records a replay result. `gen_before`/`gen_after` are the generation
-  /// surrounding the replay; an entry becomes stable when the same key
-  /// replays twice back-to-back (gen_before equals the previous entry's
-  /// generation) with bit-identical Reports.
-  void record(const LaunchKey& key, const Report& rep,
-              std::uint64_t gen_before, std::uint64_t gen_after);
-
-  void note_bypass() { ++stats_.bypasses; }
-  const Stats& stats() const { return stats_; }
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    Report report;
-    std::uint64_t generation = 0;  ///< generation right after the recording
-    bool stable = false;           ///< two consecutive identical replays seen
-  };
-
-  std::unordered_map<LaunchKey, Entry, LaunchKeyHash> entries_;
-  Stats stats_;
 };
 
 }  // namespace ascend::sim

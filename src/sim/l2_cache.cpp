@@ -66,7 +66,6 @@ L2Access L2Cache::access(std::uint64_t addr, std::uint64_t bytes,
 void L2Cache::reset() {
   for (auto& w : sets_) w = Way{};
   tick_ = hit_lines_ = miss_lines_ = 0;
-  ++generation_;
 }
 
 }  // namespace ascend::sim

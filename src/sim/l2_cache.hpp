@@ -49,12 +49,6 @@ class L2Cache {
   std::uint64_t misses() const { return miss_lines_; }
   std::uint64_t line_bytes() const { return line_bytes_; }
 
-  /// Bumped on every reset(): external invalidation of the cached state.
-  /// The launch-shape timing cache folds this into its generation check so
-  /// a reset L2 can never satisfy a stale cached timing (per-access
-  /// mutations are covered separately by counting scheduler replays).
-  std::uint64_t generation() const { return generation_; }
-
  private:
   struct Way {
     std::uint64_t tag = ~0ull;
@@ -68,7 +62,6 @@ class L2Cache {
   std::uint64_t tick_ = 0;
   std::uint64_t hit_lines_ = 0;
   std::uint64_t miss_lines_ = 0;
-  std::uint64_t generation_ = 0;
   std::vector<Way> sets_;  // num_sets_ * ways_
 };
 

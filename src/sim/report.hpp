@@ -18,9 +18,9 @@ struct Report {
   int launches = 0;   ///< kernel launches aggregated into this report
   /// Tile-granular steps of a step-resumable (stepwise) launch aggregated
   /// into this report — 0 for a monolithic launch. A serving layer that
-  /// drives an operator tile-by-tile (Session::cumsum_batched_begin/step/
-  /// finish) stamps the step count here so occupancy/bandwidth accounting
-  /// can distinguish "one big launch" from "N resumable slices".
+  /// drives an operator tile-by-tile (one operator call per step) stamps
+  /// the step count here so occupancy/bandwidth accounting can
+  /// distinguish "one big launch" from "N resumable slices".
   int steps = 0;
 
   std::uint64_t gm_read_bytes = 0;
@@ -91,9 +91,8 @@ struct Report {
 std::ostream& operator<<(std::ostream& os, const Report& r);
 
 /// Bit-exact equality over every field (times compared with ==, which is
-/// exact for the deterministic scheduler). Used by the launch-shape timing
-/// cache to detect that a launch shape's Report has converged, and by the
-/// determinism tests comparing executors.
+/// exact for the deterministic scheduler). Used by the determinism tests
+/// comparing executors and repeated launches.
 inline bool identical(const Report& a, const Report& b) {
   return a.time_s == b.time_s && a.launches == b.launches &&
          a.steps == b.steps && a.gm_read_bytes == b.gm_read_bytes &&

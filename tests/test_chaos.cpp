@@ -18,9 +18,7 @@
 
 #include "core/ascan.hpp"
 #include "kernels/mcscan.hpp"
-#include "kernels/vec_cumsum.hpp"
 #include "serve/cluster.hpp"
-#include "sim/executor.hpp"
 #include "sim/fault.hpp"
 #include "test_helpers.hpp"
 
@@ -260,40 +258,6 @@ TEST(Chaos, HangSurfacesAsTimeoutAndRestoresOutputBuffers) {
   for (std::size_t i = 0; i < 1024; ++i) {
     ASSERT_EQ(y[i], -5.0f) << "partial write visible at " << i;
   }
-}
-
-TEST(Chaos, TimingCacheBypassedWhileFaultPlanArmed) {
-  // An armed injector keys fault decisions on the per-attempt launch
-  // ordinal; a timing-cache hit would skip the attempt entirely and
-  // desynchronise the fault sequence. The engine must bypass the cache for
-  // every launch while the plan is armed — even for shapes it already
-  // cached — and resume caching when disarmed.
-  auto cfg = chaos_cfg();
-  cfg.timing_cache = true;
-  acc::Device dev(cfg);
-  auto x = dev.upload(testing::exact_scan_workload(1024, 21));
-  auto y = dev.alloc<half>(1024);
-  auto launch_once = [&] {
-    return kernels::vec_cumsum(dev, x.tensor(), y.tensor(), 1024);
-  };
-  for (int i = 0; i < 5; ++i) launch_once();
-  const auto& stats = dev.engine().cache_stats();
-  ASSERT_GE(stats.hits, 1u) << "fault-free launches should reach steady state";
-  const auto hits_before = stats.hits;
-  const auto bypasses_before = stats.bypasses;
-
-  sim::FaultPlan p;
-  p.seed = 3;
-  p.ecc_single_rate = 0.2;  // correctable scrubs: launches still succeed
-  dev.set_fault_plan(p);
-  for (int i = 0; i < 3; ++i) launch_once();
-  EXPECT_EQ(stats.hits, hits_before) << "armed plan must bypass the cache";
-  EXPECT_EQ(stats.bypasses, bypasses_before + 3);
-
-  dev.set_fault_plan(sim::FaultPlan::none());
-  for (int i = 0; i < 3; ++i) launch_once();
-  EXPECT_GT(stats.hits, hits_before)
-      << "disarming must restore cache hits once the shape re-stabilises";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
-// Host execution engine regression tests: pooled execution and the timing
-// cache must be observationally invisible — bit-identical Reports, values
-// and traces versus freshly spawned threads and full discrete-event
-// replays, for every operator family.
+// Host execution engine regression tests: pooled execution must be
+// observationally invisible — bit-identical Reports, values and traces
+// versus freshly spawned threads, for every operator family.
 #include <cstdlib>
 #include <functional>
 #include <utility>
@@ -23,11 +22,9 @@ namespace {
 using ascan::ScanAlgo;
 using ascan::Session;
 
-sim::MachineConfig cfg_with(sim::ExecutorMode mode,
-                            bool timing_cache = false) {
+sim::MachineConfig cfg_with(sim::ExecutorMode mode) {
   auto cfg = sim::MachineConfig::ascend_910b4();
   cfg.executor = mode;
-  cfg.timing_cache = timing_cache;
   return cfg;
 }
 
@@ -223,106 +220,6 @@ TEST(Executor, PoolGrowsToLargestLaunchAndKeepsWorkers) {
 }
 
 // ---------------------------------------------------------------------------
-// Timing cache: hits only when provably bit-exact.
-
-TEST(Executor, TimingCacheHitsConstantShapeLaunches) {
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool, /*timing_cache=*/true));
-  ASSERT_TRUE(dev.engine().timing_cache_enabled());
-  auto x = dev.alloc<half>(8192, half(2.0f));
-  auto y = dev.alloc<half>(8192);
-
-  // Device-resident repeated launches of a constant shape: the L2 reaches
-  // its steady state, after which the cache may serve Reports.
-  std::vector<sim::Report> reps;
-  for (int i = 0; i < 6; ++i) {
-    reps.push_back(kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(),
-                                              8192, 4));
-  }
-  const auto& stats = dev.engine().cache_stats();
-  EXPECT_EQ(stats.lookups, 6u);
-  EXPECT_GE(stats.hits, 2u) << "steady-state launches should hit the cache";
-  EXPECT_LT(dev.engine().replays(), 6u);
-  // Cached Reports are bit-identical to the replayed steady state.
-  for (std::size_t i = 2; i < reps.size(); ++i) {
-    EXPECT_TRUE(sim::identical(reps[i - 1], reps[i])) << "launch " << i;
-  }
-
-  // A cache-enabled device must produce the same Reports as a cache-free
-  // one, launch by launch.
-  acc::Device ref(cfg_with(sim::ExecutorMode::Pool, /*timing_cache=*/false));
-  auto rx = ref.alloc<half>(8192, half(2.0f));
-  auto ry = ref.alloc<half>(8192);
-  // Note: gm addresses differ between devices, so compare each device's own
-  // steady-state convergence instead of launch-by-launch equality of
-  // l2_hit_bytes-bearing fields across devices.
-  sim::Report prev;
-  for (int i = 0; i < 6; ++i) {
-    const auto r =
-        kernels::copy_kernel<half>(ref, rx.tensor(), ry.tensor(), 8192, 4);
-    if (i >= 2) {
-      EXPECT_TRUE(sim::identical(prev, r));
-    }
-    prev = r;
-  }
-  EXPECT_EQ(ref.engine().cache_stats().lookups, 0u);
-  EXPECT_EQ(ref.engine().replays(), 6u);
-}
-
-TEST(Executor, TimingCacheInvalidatedByL2Reset) {
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool, /*timing_cache=*/true));
-  auto x = dev.alloc<half>(8192, half(3.0f));
-  auto y = dev.alloc<half>(8192);
-  for (int i = 0; i < 5; ++i) {
-    kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 8192, 4);
-  }
-  const auto hits_before = dev.engine().cache_stats().hits;
-  ASSERT_GE(hits_before, 1u);
-  dev.l2().reset();  // generation bump: cached timings are now stale
-  const auto r1 =
-      kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 8192, 4);
-  EXPECT_EQ(dev.engine().cache_stats().hits, hits_before)
-      << "a reset L2 must force a replay";
-  // The replay after the reset observes a cold L2 again.
-  EXPECT_GT(r1.time_s, 0.0);
-}
-
-TEST(Executor, TimingCacheBypassedForTimeline) {
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool, /*timing_cache=*/true));
-  const std::size_t n = 4096;
-  auto x = dev.alloc<half>(n, half(1.0f));
-  auto y = dev.alloc<half>(n);
-  auto probe = [&](sim::Timeline* tl) {
-    return acc::launch(dev,
-                       {.block_dim = 1,
-                        .mode = acc::LaunchMode::VectorOnly,
-                        .name = "probe",
-                        .timeline = tl},
-                       [&](acc::KernelContext& ctx) {
-                         acc::TPipe pipe(ctx);
-                         acc::TQue q(ctx, acc::TPosition::VECIN);
-                         pipe.InitBuffer(q, 2, n * sizeof(half));
-                         auto t = q.AllocTensor<half>();
-                         acc::DataCopy(ctx, t, x.tensor(), n);
-                         acc::DataCopy(ctx, y.tensor(), t, n);
-                         q.FreeTensor(t);
-                       });
-  };
-  for (int i = 0; i < 5; ++i) probe(nullptr);
-  const auto hits_before = dev.engine().cache_stats().hits;
-  ASSERT_GE(hits_before, 1u);
-  // A Timeline-carrying launch cannot be served from the cache (a hit has
-  // no schedule to export): it must bypass, replay, and fill the timeline.
-  sim::Timeline tl;
-  const auto rep = probe(&tl);
-  EXPECT_EQ(dev.engine().cache_stats().bypasses, 1u);
-  EXPECT_EQ(tl.events.size(), rep.num_ops);
-  EXPECT_GT(tl.total_s, 0.0);
-  // And the bypassed replay still matches the cached steady state.
-  const auto again = probe(nullptr);
-  EXPECT_TRUE(sim::identical(rep, again));
-}
-
-// ---------------------------------------------------------------------------
 // Runtime switches.
 
 TEST(Executor, EnvSwitchSelectsExecutor) {
@@ -342,16 +239,6 @@ TEST(Executor, EnvSwitchSelectsExecutor) {
   EXPECT_EQ(sim::resolve_executor_mode(sim::ExecutorMode::Spawn),
             sim::ExecutorMode::Spawn);
   ::unsetenv("ASCAN_EXECUTOR");
-}
-
-TEST(Executor, EnvSwitchSelectsTimingCache) {
-  ::setenv("ASCAN_TIMING_CACHE", "1", 1);
-  EXPECT_TRUE(sim::resolve_timing_cache(false));
-  ::setenv("ASCAN_TIMING_CACHE", "off", 1);
-  EXPECT_FALSE(sim::resolve_timing_cache(true));
-  ::unsetenv("ASCAN_TIMING_CACHE");
-  EXPECT_TRUE(sim::resolve_timing_cache(true));
-  EXPECT_FALSE(sim::resolve_timing_cache(false));
 }
 
 }  // namespace

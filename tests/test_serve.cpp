@@ -108,7 +108,7 @@ TEST(BatchApiEdgeCases, TopPSampleBatchOfOneMatchesSingle) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: core composition hooks used by the serving layer.
+// Satellite: core composition hooks.
 
 TEST(SessionHooks, RunResilientAggregatesIntoTotal) {
   Session s;
@@ -213,7 +213,7 @@ struct Expected {
 Expected make_case(std::size_t i, Session& ref) {
   Rng rng(1000 + i);
   Expected e;
-  switch (i % 4) {
+  switch (i % 6) {
     case 0: {
       // Mixed lengths exercise the zero-padding path.
       const std::size_t n = 64 + 32 * (i % 5);
@@ -240,11 +240,29 @@ Expected make_case(std::size_t i, Session& ref) {
       e.req = Request::sort(std::move(x), i % 8 == 2);
       break;
     }
-    default: {
+    case 3: {
       auto probs = rng.token_probs_f16(256);
       const double u = rng.next_double();
       e.direct.token = ref.top_p_sample(probs, 0.9, u).index;
       e.req = Request::top_p(std::move(probs), 0.9, u);
+      break;
+    }
+    case 4: {
+      // Crosses step boundaries: 4 steps of one 16*16 l-tile each.
+      auto x = exact_scan_workload(1000, 40 + i);
+      auto r = ref.cumsum_batched(x, 1, x.size(), 16);
+      e.direct.values_f16 = std::move(r.values);
+      e.req = Request::cumsum(std::move(x), 16);
+      break;
+    }
+    default: {
+      // 3 steps at the engine's 4096-element segmented stride.
+      const std::size_t n = 9000;
+      auto x = exact_scan_workload(n, 50 + i);
+      auto f = seg_flags(n, 60 + i);
+      auto r = ref.segmented_cumsum(x, f);
+      e.direct.values_f32 = std::move(r.values);
+      e.req = Request::segmented_cumsum(std::move(x), std::move(f));
       break;
     }
   }
@@ -523,92 +541,6 @@ TEST(LatencyHistogram, PercentilesAreBucketUpperBounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Tentpole: stepwise (tile-granular) launches on the Session surface.
-// Manually driving begin/step/finish with host-side carry threading must
-// reproduce the monolithic calls bit-for-bit on integer-valued workloads.
-
-TEST(SessionStepwise, CumsumStepsMatchMonolithic) {
-  Session s;
-  const auto x = exact_scan_workload(1000, 40);  // not a multiple of 16*16
-  const auto want = s.cumsum_batched(x, 1, x.size(), 16);
-  auto ls = s.cumsum_batched_begin(16);
-  std::vector<half> got;
-  half carry(0.0f);
-  const std::size_t l = 16 * 16;
-  for (std::size_t off = 0; off < x.size();) {
-    const std::size_t take = std::min(l, x.size() - off);
-    const auto first = x.begin() + static_cast<std::ptrdiff_t>(off);
-    const std::vector<half> slice(first,
-                                  first + static_cast<std::ptrdiff_t>(take));
-    const auto r = s.cumsum_batched_step(ls, slice, 1, take, {carry});
-    got.insert(got.end(), r.values.begin(), r.values.end());
-    carry = got.back();
-    off += take;
-  }
-  const auto rep = s.cumsum_batched_finish(ls);
-  EXPECT_EQ(rep.steps, 4);  // ceil(1000 / 256)
-  EXPECT_GT(rep.launches, 0);
-  ASSERT_EQ(got.size(), want.values.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(static_cast<float>(got[i]),
-              static_cast<float>(want.values[i]))
-        << "index " << i;
-  }
-}
-
-TEST(SessionStepwise, SegmentedStepsMatchMonolithic) {
-  Session s;
-  const std::size_t n = 9000;  // 3 steps at the engine's 4096-element stride
-  const auto x = exact_scan_workload(n, 41);
-  const auto f = seg_flags(n, 42);
-  const auto want = s.segmented_cumsum(x, f);
-  auto ls = s.segmented_cumsum_begin();
-  std::vector<float> got;
-  float carry = 0.0f;
-  const std::size_t kStep = 4096;
-  for (std::size_t off = 0; off < n;) {
-    const std::size_t take = std::min(kStep, n - off);
-    const auto xb = x.begin() + static_cast<std::ptrdiff_t>(off);
-    const auto fb = f.begin() + static_cast<std::ptrdiff_t>(off);
-    const std::vector<half> xs(xb, xb + static_cast<std::ptrdiff_t>(take));
-    const std::vector<std::int8_t> fs(fb,
-                                      fb + static_cast<std::ptrdiff_t>(take));
-    const auto r = s.segmented_cumsum_step(ls, xs, fs, {take}, {carry});
-    got.insert(got.end(), r.values.begin(), r.values.end());
-    carry = got.back();
-    off += take;
-  }
-  const auto rep = s.segmented_cumsum_finish(ls);
-  EXPECT_EQ(rep.steps, 3);
-  ASSERT_EQ(got, want.values);  // fp32, integer-valued: exact equality
-}
-
-TEST(SessionStepwise, TopPStepMatchesSingle) {
-  Session s;
-  Rng rng(77);
-  const auto probs = rng.token_probs_f16(512);
-  const auto want = s.top_p_sample(probs, 0.9, 0.37);
-  auto ls = s.top_p_begin(0.9);
-  const auto got = s.top_p_step(ls, probs, 0.37);
-  const auto rep = s.top_p_finish(ls);
-  EXPECT_EQ(got.index, want.index);
-  EXPECT_EQ(rep.steps, 1);
-}
-
-TEST(SessionStepwise, MisuseThrows) {
-  Session s;
-  Session::LaunchStream closed;  // never begun
-  const auto x = exact_scan_workload(64);
-  EXPECT_THROW(s.cumsum_batched_step(closed, x, 1, 64, {half(0.0f)}), Error);
-  EXPECT_THROW(s.cumsum_batched_finish(closed), Error);
-  auto ls = s.cumsum_batched_begin(16);
-  // A step is at most one l-tile (16*16 = 256) long per row.
-  EXPECT_THROW(s.cumsum_batched_step(ls, x, 1, 300, {half(0.0f)}), Error);
-  s.cumsum_batched_finish(ls);
-  EXPECT_THROW(s.cumsum_batched_finish(ls), Error);  // double finish
-}
-
-// ---------------------------------------------------------------------------
 // Tentpole: streamed per-tile results through the Engine. Chunks must be
 // bit-exact prefixes of the final payload under both host executors.
 
@@ -786,6 +718,62 @@ TEST(ServeContinuation, MidLaunchAdmissionMatchesStandalone) {
               static_cast<float>(want2.values[i]))
         << "index " << i;
   }
+  EXPECT_GE(engine.metrics().continuation_admits, 1u);
+}
+
+TEST(ServeContinuation, SegmentedMidLaunchAdmissionMatchesStandalone) {
+  Session ref;
+  const std::size_t n1 = 12000, n2 = 5000;  // 3 and 2 steps of 4096
+  const auto x2 = exact_scan_workload(n2, 65);
+  const auto f2 = seg_flags(n2, 66);
+  const auto want2 = ref.segmented_cumsum(x2, f2);
+
+  Engine engine({.policy = {.max_batch = 8, .max_wait_s = 100e-6}});
+  std::promise<std::future<Response>> second;
+  std::atomic<bool> submitted{false};
+  Request r1 = Request::segmented_cumsum(exact_scan_workload(n1, 64),
+                                         seg_flags(n1, 67));
+  r1.on_chunk = [&](const StreamChunk&) {
+    if (!submitted.exchange(true)) {
+      second.set_value(
+          engine.submit(Request::segmented_cumsum(x2, f2)));
+    }
+  };
+  auto f1 = engine.submit(std::move(r1));
+  const auto resp2 = second.get_future().get().get();
+  const auto resp1 = f1.get();
+  engine.shutdown(ShutdownMode::Drain);
+  ASSERT_TRUE(resp1.ok()) << resp1.reason;
+  ASSERT_TRUE(resp2.ok()) << resp2.reason;
+  EXPECT_EQ(resp2.launch_id, resp1.launch_id);  // joined the in-flight launch
+  EXPECT_EQ(resp2.values_f32, want2.values);    // fp32: exact equality
+  EXPECT_GE(engine.metrics().continuation_admits, 1u);
+}
+
+TEST(ServeContinuation, TopPMidLaunchAdmissionMatchesStandalone) {
+  Session ref;
+  Rng rng(68);
+  const auto probs1 = rng.token_probs_f16(512);
+  const auto probs2 = rng.token_probs_f16(512);  // same vocab: same GroupKey
+  const auto want2 = ref.top_p_sample(probs2, 0.9, 0.61);
+
+  Engine engine({.policy = {.max_batch = 8, .max_wait_s = 100e-6}});
+  std::promise<std::future<Response>> second;
+  std::atomic<bool> submitted{false};
+  Request r1 = Request::top_p(probs1, 0.9, 0.37);
+  r1.on_chunk = [&](const StreamChunk&) {
+    if (!submitted.exchange(true)) {
+      second.set_value(engine.submit(Request::top_p(probs2, 0.9, 0.61)));
+    }
+  };
+  auto f1 = engine.submit(std::move(r1));
+  const auto resp2 = second.get_future().get().get();
+  const auto resp1 = f1.get();
+  engine.shutdown(ShutdownMode::Drain);
+  ASSERT_TRUE(resp1.ok()) << resp1.reason;
+  ASSERT_TRUE(resp2.ok()) << resp2.reason;
+  EXPECT_EQ(resp2.launch_id, resp1.launch_id);  // joined the in-flight launch
+  EXPECT_EQ(resp2.token, want2.index);
   EXPECT_GE(engine.metrics().continuation_admits, 1u);
 }
 
