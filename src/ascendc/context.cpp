@@ -1,28 +1,39 @@
 #include "ascendc/context.hpp"
 
+#include "sim/executor.hpp"
+
 namespace ascend::acc {
 
 // ---------------------------------------------------------------------------
 // SimpleBarrier
 
 void SimpleBarrier::arrive_and_wait() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (poisoned_) throw Error("barrier poisoned: a sibling sub-core failed");
-  const std::uint64_t gen = generation_;
-  if (++waiting_ == threshold_) {
-    waiting_ = 0;
-    ++generation_;
-    cv_.notify_all();
+  if (poisoned_.load(std::memory_order_acquire)) {
+    throw Error("barrier poisoned: a sibling sub-core failed");
+  }
+  // The generation cannot move before this arrival: it needs every
+  // participant, this one included.
+  const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+  // acq_rel: the last arriver acquires every sibling's pre-barrier writes
+  // and publishes them with the generation release below.
+  if (waiting_.fetch_add(1, std::memory_order_acq_rel) + 1 == threshold_) {
+    waiting_.store(0, std::memory_order_relaxed);
+    generation_.store(gen + 1, std::memory_order_release);
+    sim::fiber_progress();
     return;
   }
-  cv_.wait(lk, [&] { return generation_ != gen || poisoned_; });
-  if (poisoned_) throw Error("barrier poisoned: a sibling sub-core failed");
+  sim::fiber_wait_until([&] {
+    return generation_.load(std::memory_order_acquire) != gen ||
+           poisoned_.load(std::memory_order_acquire);
+  });
+  if (poisoned_.load(std::memory_order_acquire)) {
+    throw Error("barrier poisoned: a sibling sub-core failed");
+  }
 }
 
 void SimpleBarrier::poison() {
-  std::lock_guard<std::mutex> lk(mu_);
-  poisoned_ = true;
-  cv_.notify_all();
+  poisoned_.store(true, std::memory_order_release);
+  sim::fiber_progress();
 }
 
 // ---------------------------------------------------------------------------
@@ -40,25 +51,19 @@ void CrossFlags::set(KernelContext& ctx, std::size_t i) {
               ctx.cfg().gm_latency_s * ctx.cfg().clock_hz;
   op.tag = "flag.set";
   const std::uint32_t id = ctx.trace().push(op);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    setter_[i].store(id, std::memory_order_release);
-  }
-  cv_.notify_all();
+  setter_[i].store(id, std::memory_order_release);
+  sim::fiber_progress();
 }
 
 void CrossFlags::wait(KernelContext& ctx, std::size_t i) {
   ASCAN_ASSERT(i < setter_.size(), "flag index out of range");
-  std::uint32_t setter_id = setter_[i].load(std::memory_order_acquire);
+  std::uint32_t setter_id = 0;
+  sim::fiber_wait_until([&] {
+    setter_id = setter_[i].load(std::memory_order_acquire);
+    return setter_id != 0 || poisoned_.load(std::memory_order_acquire);
+  });
   if (setter_id == 0) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] {
-      setter_id = setter_[i].load(std::memory_order_acquire);
-      return setter_id != 0 || poisoned_;
-    });
-    if (poisoned_ && setter_id == 0) {
-      throw Error("flag wait poisoned: a sibling sub-core failed");
-    }
+    throw Error("flag wait poisoned: a sibling sub-core failed");
   }
   sim::TraceOp op;
   op.engine = sim::EngineKind::Scalar;
@@ -72,9 +77,8 @@ void CrossFlags::wait(KernelContext& ctx, std::size_t i) {
 }
 
 void CrossFlags::poison() {
-  std::lock_guard<std::mutex> lk(mu_);
-  poisoned_ = true;
-  cv_.notify_all();
+  poisoned_.store(true, std::memory_order_release);
+  sim::fiber_progress();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 // Per-sub-core kernel execution context plus the shared launch state
 // (barriers, cross-core flags) used by the functional pass.
 //
-// A kernel launch runs the kernel body once per logical sub-core, each on
-// its own host thread. In MIX mode a block is one AI core: sub-core 0 is the
-// AIC (cube) core and sub-cores 1..vec_per_core are the AIV (vector) cores.
-// In vector-only mode each block is a single AIV core.
+// A kernel launch runs the kernel body once per logical sub-core, each as a
+// fiber (sim/executor.hpp); waiting at a barrier or on a flag yields to the
+// sub-core's carrier thread instead of blocking it. In MIX mode a block is
+// one AI core: sub-core 0 is the AIC (cube) core and sub-cores
+// 1..vec_per_core are the AIV (vector) cores. In vector-only mode each
+// block is a single AIV core.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -25,7 +26,8 @@ namespace ascend::acc {
 class KernelContext;
 
 /// Barrier with poison propagation: if any participant fails, every waiter
-/// (current and future) throws instead of deadlocking.
+/// (current and future) throws instead of deadlocking. Waiting yields the
+/// sub-core's fiber.
 class SimpleBarrier {
  public:
   explicit SimpleBarrier(int count) : threshold_(count) {}
@@ -34,17 +36,15 @@ class SimpleBarrier {
   void poison();
 
  private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int threshold_;
-  int waiting_ = 0;
-  std::uint64_t generation_ = 0;
-  bool poisoned_ = false;
+  const int threshold_;
+  std::atomic<int> waiting_{0};
+  std::atomic<std::uint64_t> generation_{0};
+  std::atomic<bool> poisoned_{false};
 };
 
 /// A shared array of cross-core synchronisation flags. set(i) publishes the
-/// id of the trace op that performed the set; wait(i) blocks the functional
-/// thread until then and records a dependency edge on that op.
+/// id of the trace op that performed the set; wait(i) yields the waiting
+/// sub-core's fiber until then and records a dependency edge on that op.
 class CrossFlags {
  public:
   explicit CrossFlags(std::size_t n) : setter_(n) {
@@ -59,9 +59,7 @@ class CrossFlags {
 
  private:
   std::vector<std::atomic<std::uint32_t>> setter_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool poisoned_ = false;
+  std::atomic<bool> poisoned_{false};
 };
 
 /// State shared by all sub-cores of one launch.

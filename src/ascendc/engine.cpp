@@ -1,14 +1,13 @@
 #include "ascendc/engine.hpp"
 
-#include <thread>
+#include <algorithm>
 #include <utility>
 
 #include "ascendc/device.hpp"
 
 namespace ascend::acc {
 
-LaunchEngine::LaunchEngine(const sim::MachineConfig& cfg)
-    : cfg_(cfg), mode_(sim::resolve_executor_mode(cfg.executor)) {}
+LaunchEngine::LaunchEngine(const sim::MachineConfig& cfg) : cfg_(cfg) {}
 
 LaunchEngine::~LaunchEngine() = default;
 
@@ -62,15 +61,16 @@ void LaunchEngine::release(
 // ---------------------------------------------------------------------------
 // Sub-core dispatch
 
-void LaunchEngine::run_subcores(int n, const std::function<void(int)>& body) {
-  if (mode_ == sim::ExecutorMode::Pool) {
-    pool_.run(n, body);
-    return;
+bool LaunchEngine::run_subcores(const std::vector<SubcorePlan>& plan,
+                                const std::function<void(int)>& body,
+                                const std::function<void()>& poison) {
+  const int blocks = plan.empty() ? 0 : plan.back().block_idx + 1;
+  const int carriers = std::min(blocks, sim::FiberExecutor::max_carriers());
+  carrier_of_.resize(plan.size());
+  for (std::size_t s = 0; s < plan.size(); ++s) {
+    carrier_of_[s] = plan[s].block_idx % carriers;
   }
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) threads.emplace_back([&body, s] { body(s); });
-  for (std::thread& t : threads) t.join();
+  return executor_.run(carrier_of_, body, poison);
 }
 
 // ---------------------------------------------------------------------------
@@ -93,14 +93,13 @@ sim::Report LaunchEngine::time_lease(ContextLease& lease, LaunchShared& shared,
   }
   trace_.max_op_id = shared.op_ids().load(std::memory_order_relaxed) - 1;
 
-  // Canonical op ids. The shared atomic hands ids out in host-thread
-  // arrival order, which genuinely races when the pooled workers all wake
-  // at once (spawn mode masks it: staggered thread creation makes arrival
-  // order repeatable in practice). The scheduler breaks simultaneous-event
-  // ties by id, so raw ids would leak host timing into simulated time.
-  // Renumbering densely by (sub-core, position) — both interleaving-
-  // independent — restores bit-reproducible replays. Two passes: deps may
-  // reference ops of other sub-cores (cross-core flag edges).
+  // Canonical op ids. The shared atomic hands ids out in arrival order,
+  // which interleaves the carriers' fibers nondeterministically. The
+  // scheduler breaks simultaneous-event ties by id, so raw ids would leak
+  // host timing into simulated time. Renumbering densely by (sub-core,
+  // position) — both interleaving-independent — restores bit-reproducible
+  // replays. Two passes: deps may reference ops of other sub-cores
+  // (cross-core flag edges).
   id_map_.assign(static_cast<std::size_t>(trace_.max_op_id) + 1, 0);
   std::uint32_t next_id = 1;
   for (const auto& ops : trace_.per_subcore) {

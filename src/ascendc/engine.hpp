@@ -1,6 +1,6 @@
-// Host execution engine owned by acc::Device: persistent sub-core worker
-// pool, pooled KernelContexts / trace-op arenas and reusable scheduler
-// scratch.
+// Host execution engine owned by acc::Device: the fiber executor (sub-core
+// bodies as fibers on at most one carrier thread per host core), pooled
+// KernelContexts / trace-op arenas and reusable scheduler scratch.
 //
 // The engine holds its own MachineConfig copy so pooled KernelContexts
 // (which keep a reference to it) stay valid even when the owning Device is
@@ -39,9 +39,8 @@ class LaunchEngine {
   LaunchEngine& operator=(const LaunchEngine&) = delete;
 
   const sim::MachineConfig& config() const { return cfg_; }
-  sim::ExecutorMode mode() const { return mode_; }
-  /// Workers currently alive in the pool (0 until the first pooled launch).
-  int pool_workers() const { return pool_.workers(); }
+  /// Helper carrier threads alive (at most hardware_concurrency - 1).
+  int helper_threads() const { return executor_.helper_threads(); }
 
   /// RAII lease over pooled per-sub-core contexts: contexts are taken from
   /// the engine's free lists (or built on first use), reset for the new
@@ -71,10 +70,17 @@ class LaunchEngine {
   ContextLease lease_contexts(const std::vector<SubcorePlan>& plan,
                               LaunchShared* shared, int block_dim);
 
-  /// Runs body(0) .. body(n-1) concurrently and waits for all of them:
-  /// thread-per-launch in Spawn mode, persistent workers in Pool mode.
-  /// `body` must not throw (the launch wrapper catches per-sub-core).
-  void run_subcores(int n, const std::function<void(int)>& body);
+  /// Runs body(s) for every sub-core s of `plan` as a fiber and waits for
+  /// all of them. The launch uses C = min(blocks, host cores) carriers —
+  /// the calling thread and C-1 helpers — and carrier c runs every
+  /// sub-core of the blocks b = c (mod C), so a block's cube->vector flag
+  /// handoffs never leave its carrier. Returns false if the launch
+  /// deadlocked (see sim::FiberExecutor::run); `poison` then made every
+  /// blocked sub-core unwind. `body` must not throw (the launch wrapper
+  /// catches per sub-core).
+  bool run_subcores(const std::vector<SubcorePlan>& plan,
+                    const std::function<void(int)>& body,
+                    const std::function<void()>& poison);
 
   struct TimingRequest {
     sim::Timeline* timeline = nullptr;
@@ -99,8 +105,8 @@ class LaunchEngine {
   sim::Report replay(const TimingRequest& req);
 
   sim::MachineConfig cfg_;
-  sim::ExecutorMode mode_;
-  sim::SubcorePool pool_;
+  sim::FiberExecutor executor_;
+  std::vector<int> carrier_of_;  ///< per-launch sub-core -> carrier scratch
   sim::SchedScratch scratch_;
   std::vector<std::unique_ptr<KernelContext>> cube_pool_;
   std::vector<std::unique_ptr<KernelContext>> vec_pool_;

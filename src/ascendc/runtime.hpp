@@ -1,6 +1,7 @@
-// Kernel launcher: runs a kernel body once per logical sub-core (each on a
-// host thread), merges the recorded traces, and feeds them to the
-// discrete-event scheduler to obtain the simulated execution report.
+// Kernel launcher: runs a kernel body once per logical sub-core (each as a
+// fiber on one of at most one carrier thread per host core), merges the
+// recorded traces, and feeds them to the discrete-event scheduler to
+// obtain the simulated execution report.
 //
 // Launch modes mirror how AscendC kernels occupy the 910B:
 //  * Mix:        block = one AI core (1 AIC + vec_per_core AIVs). The body
@@ -16,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "ascendc/context.hpp"
@@ -101,11 +103,12 @@ inline std::vector<SubcorePlan> plan_subcores(const sim::MachineConfig& cfg,
 /// Functional effects on GM buffers happen eagerly; the report's time is
 /// what the 910B would take.
 ///
-/// Host execution runs on the device's LaunchEngine: sub-core bodies execute
-/// on the persistent worker pool (or spawned threads under
-/// ExecutorMode::Spawn / ASCAN_EXECUTOR=spawn) and kernel contexts and trace
-/// arenas are pooled in both modes. All of it is bit-exact: Reports, traces
-/// and GM effects are identical across modes.
+/// Host execution runs on the device's LaunchEngine: sub-core bodies run as
+/// fibers on the calling thread and the device's helper carriers, and
+/// kernel contexts, trace arenas and fiber stacks are reused across
+/// launches. Reports, traces and GM effects do not depend on how the
+/// fibers interleave. A launch whose sub-cores all block on barriers or
+/// flags that no sibling will release throws an Error naming it.
 template <typename F>
 sim::Report launch(Device& dev, const LaunchSpec& spec, F&& body) {
   LaunchEngine& eng = dev.engine();
@@ -132,17 +135,25 @@ sim::Report launch(Device& dev, const LaunchSpec& spec, F&& body) {
 
   std::exception_ptr first_error;
   std::mutex error_mu;
-  eng.run_subcores(n, [&](int s) {
-    try {
-      body(ctxs[static_cast<std::size_t>(s)]);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lk(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      shared.poison();
-    }
-  });
+  const bool finished = eng.run_subcores(
+      plan,
+      [&](int s) {
+        try {
+          body(ctxs[static_cast<std::size_t>(s)]);
+        } catch (...) {
+          {
+            std::lock_guard<std::mutex> lk(error_mu);
+            if (!first_error) first_error = std::current_exception();
+          }
+          shared.poison();
+        }
+      },
+      [&] { shared.poison(); });
+  if (!finished) {
+    throw Error(std::string("launch '") + spec.name +
+                "' deadlocked: every sub-core still running is blocked on a "
+                "SyncAll or cross-core flag that no sibling will release");
+  }
   if (first_error) std::rethrow_exception(first_error);
 
   LaunchEngine::TimingRequest req;

@@ -56,7 +56,7 @@ Report Session::resilient_loop(const std::function<Report()>& attempt) {
   double backoff = retry_.backoff_s;
   // Deterministic anti-stampede jitter (see RetryPolicy::backoff_jitter):
   // a pure splitmix64 hash of (seed, call ordinal, retry ordinal), so the
-  // same policy yields the same delays on every run and host executor.
+  // same policy yields the same delays on every run.
   const auto jittered = [this](double b) {
     if (retry_.backoff_jitter <= 0) return b;
     const auto mix64 = [](std::uint64_t x) {

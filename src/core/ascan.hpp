@@ -52,7 +52,7 @@ struct RetryPolicy {
   /// degraded device, synchronized exponential backoff re-stampedes it at
   /// every doubling; jitter de-synchronizes the herd while staying a pure
   /// function of the seed — Reports remain bit-identical across runs and
-  /// host executors. 0 keeps the legacy fixed doubling.
+  /// host thread interleavings. 0 keeps the legacy fixed doubling.
   double backoff_jitter = 0;
   std::uint64_t jitter_seed = 0;
 };

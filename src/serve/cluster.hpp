@@ -81,8 +81,8 @@ struct ClusterOptions {
   /// Device configuration applied to every device...
   MachineConfig machine = MachineConfig::ascend_910b4();
   /// ...unless this per-device override is non-empty (size must equal
-  /// num_devices). Heterogeneous clusters — skewed core counts, distinct
-  /// executor modes — are how the skew tests provoke imbalance.
+  /// num_devices). Heterogeneous clusters — skewed core counts — are how
+  /// the skew tests provoke imbalance.
   std::vector<MachineConfig> device_machines;
   RetryPolicy retry{};
   /// Fault plan armed on every device when any()...

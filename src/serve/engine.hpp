@@ -82,8 +82,7 @@ struct EngineOptions {
   std::size_t max_queue = 256;
   std::size_t interactive_reserve = 16;
   int num_workers = 1;  ///< Sessions (simulated devices) serving the queue
-  /// Device configuration of every worker Session. Defaults to the 910B4
-  /// with ExecutorMode::Auto, so ASCAN_EXECUTOR selects the host executor.
+  /// Device configuration of every worker Session (defaults to the 910B4).
   MachineConfig machine = MachineConfig::ascend_910b4();
   RetryPolicy retry{};     ///< engine-default resilience policy
   FaultPlan fault_plan{};  ///< armed on every worker Session when any()

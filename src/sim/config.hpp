@@ -21,16 +21,6 @@
 
 namespace ascend::sim {
 
-/// How kernel launches execute their sub-core bodies on the host.
-///  * Spawn — legacy path: one fresh std::thread per sub-core per launch
-///    (kept selectable for debugging and determinism A/B tests).
-///  * Pool  — persistent worker pool owned by the device; bodies dispatch
-///    to long-lived workers (the fast path).
-///  * Auto  — consult the ASCAN_EXECUTOR environment variable ("spawn" or
-///    "pool"); default Pool.
-/// Both paths produce bit-identical traces, Reports and output values.
-enum class ExecutorMode : std::uint8_t { Auto, Spawn, Pool };
-
 struct MachineConfig {
   // --- Topology ------------------------------------------------------------
   int num_ai_cores = 20;  ///< AIC count ("blocks" at full occupancy)
@@ -114,11 +104,6 @@ struct MachineConfig {
   /// while real hangs are still caught (a wedged engine never completes,
   /// deadline or not). 0 restores the flat pre-scaling deadline.
   double watchdog_scale = 8.0;
-
-  // --- Host execution engine ---------------------------------------------------
-  /// Sub-core execution strategy (see ExecutorMode). Runtime-switchable via
-  /// ASCAN_EXECUTOR when left at Auto.
-  ExecutorMode executor = ExecutorMode::Auto;
 
   // --- Derived helpers ---------------------------------------------------------
   double cycles_to_s(double cycles) const { return cycles / clock_hz; }

@@ -92,7 +92,7 @@ std::ostream& operator<<(std::ostream& os, const Report& r);
 
 /// Bit-exact equality over every field (times compared with ==, which is
 /// exact for the deterministic scheduler). Used by the determinism tests
-/// comparing executors and repeated launches.
+/// comparing golden runs and repeated launches.
 inline bool identical(const Report& a, const Report& b) {
   return a.time_s == b.time_s && a.launches == b.launches &&
          a.steps == b.steps && a.gm_read_bytes == b.gm_read_bytes &&

@@ -1,9 +1,8 @@
 // Cluster serving tests: multi-device placement and work stealing must be
 // observationally invisible — bit-exact results versus a single-device
-// Engine on the same stream, across both host executors — while the
-// cluster-only machinery (affinity routing, spill, bulk-batch stealing,
-// device-parallel shutdown, per-device metrics shards) is exercised and
-// asserted directly.
+// Engine on the same stream — while the cluster-only machinery (affinity
+// routing, spill, bulk-batch stealing, device-parallel shutdown,
+// per-device metrics shards) is exercised and asserted directly.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -18,7 +17,6 @@
 #include "core/ascan.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cluster.hpp"
-#include "sim/executor.hpp"
 #include "test_helpers.hpp"
 
 namespace ascend {
@@ -27,12 +25,6 @@ namespace {
 using ascan::Session;
 using namespace ascan::serve;
 using testing::exact_scan_workload;
-
-sim::MachineConfig cfg_with(sim::ExecutorMode mode) {
-  auto cfg = sim::MachineConfig::ascend_910b4();
-  cfg.executor = mode;
-  return cfg;
-}
 
 std::vector<std::int8_t> seg_flags(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -113,8 +105,8 @@ void expect_matches(const Response& got, const Expected& e, std::size_t i) {
 // placement hash, a spill or a steal lands a request on, the result is
 // bit-exact with a single-device engine / direct Session execution.
 
-void run_cluster_bit_exact(sim::ExecutorMode mode) {
-  Session ref(cfg_with(mode));
+TEST(ServeCluster, BitExactVersusDirectSession) {
+  Session ref(sim::MachineConfig::ascend_910b4());
   constexpr std::size_t kCases = 24;
   std::vector<Expected> cases;
   cases.reserve(kCases);
@@ -122,7 +114,6 @@ void run_cluster_bit_exact(sim::ExecutorMode mode) {
 
   Cluster cluster({.policy = {.max_batch = 8, .max_wait_s = 300e-6},
                    .num_devices = 4,
-                   .machine = cfg_with(mode),
                    .steal_min_backlog = 2});
   std::vector<std::future<Response>> futs;
   futs.reserve(kCases);
@@ -139,14 +130,6 @@ void run_cluster_bit_exact(sim::ExecutorMode mode) {
   EXPECT_EQ(m.completed, kCases);
   EXPECT_EQ(m.failed + m.cancelled + m.rejected_capacity, 0u);
   EXPECT_EQ(m.routed_affinity + m.routed_spill, kCases);
-}
-
-TEST(ServeCluster, BitExactVersusDirectSessionSpawn) {
-  run_cluster_bit_exact(sim::ExecutorMode::Spawn);
-}
-
-TEST(ServeCluster, BitExactVersusDirectSessionPool) {
-  run_cluster_bit_exact(sim::ExecutorMode::Pool);
 }
 
 TEST(ServeCluster, DeterministicAcrossRunsForTheSameStream) {

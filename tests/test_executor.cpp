@@ -1,19 +1,23 @@
-// Host execution engine regression tests: pooled execution must be
-// observationally invisible — bit-identical Reports, values and traces
-// versus freshly spawned threads, for every operator family.
-#include <cstdlib>
+// Host execution engine regression tests: running sub-cores as fibers must
+// be observationally invisible — Reports and values match the recorded
+// golden runs (tests/golden/executor.txt) for every operator family — and a
+// launch that can never finish must be reported, not hang.
+#include <algorithm>
 #include <functional>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ascendc/ascendc.hpp"
 #include "core/ascan.hpp"
 #include "kernels/copy_kernel.hpp"
 #include "kernels/scan_u.hpp"
 #include "kernels/scan_ul1.hpp"
 #include "kernels/vec_cumsum.hpp"
-#include "sim/executor.hpp"
+#include "golden.hpp"
 #include "test_helpers.hpp"
 
 namespace ascend {
@@ -21,12 +25,6 @@ namespace {
 
 using ascan::ScanAlgo;
 using ascan::Session;
-
-sim::MachineConfig cfg_with(sim::ExecutorMode mode) {
-  auto cfg = sim::MachineConfig::ascend_910b4();
-  cfg.executor = mode;
-  return cfg;
-}
 
 /// Distinct integer-valued fp16 keys (unique answer for sorts).
 std::vector<half> distinct_keys(std::size_t n) {
@@ -38,121 +36,76 @@ std::vector<half> distinct_keys(std::size_t n) {
   return x;
 }
 
+void expect_golden(const std::string& key, const sim::Report& r,
+                   const std::string& values_hash) {
+  EXPECT_FALSE(r.any_faults()) << key;
+  testing::expect_golden("executor.txt", key,
+                         testing::golden_report(r) + " values=" + values_hash);
+}
+
 // ---------------------------------------------------------------------------
-// Pool vs spawn: bit-identical Reports and values for every operator family.
+// Golden parity: Reports and values bit-identical to the recorded runs of
+// the thread-per-sub-core executors, for every operator family.
 
-/// Asserts spawn/pool Reports agree bit for bit. GM buffers carry
-/// deterministic virtual addresses (gm_space.hpp) and op ids are
-/// canonically renumbered before the timing pass, so even the L2- and
-/// arbiter-derived fields must be independent of the executor and of host
-/// heap/thread state.
-void expect_reports_equivalent(const sim::Report& a, const sim::Report& b) {
-  EXPECT_EQ(a.time_s, b.time_s) << "simulated time differs across executors";
-  EXPECT_TRUE(sim::identical(a, b)) << "Report fields differ across executors";
-  EXPECT_FALSE(a.any_faults());
-  EXPECT_FALSE(b.any_faults());
-}
-
-/// Runs `op` on a spawn-mode and a pool-mode session and asserts the
-/// Reports match on every address-independent field (values are asserted
-/// inside `op`).
-template <typename Op>
-void expect_executors_identical(Op&& op) {
-  Session spawn(cfg_with(sim::ExecutorMode::Spawn));
-  Session pool(cfg_with(sim::ExecutorMode::Pool));
-  const sim::Report a = op(spawn);
-  const sim::Report b = op(pool);
-  expect_reports_equivalent(a, b);
-}
-
-TEST(Executor, PoolMatchesSpawnBitExactOnSharedBuffers) {
-  // Two devices, one set of GM buffers: every launch sees identical GM
+TEST(Executor, GoldenSharedBuffers) {
+  // One device, one set of GM buffers: every launch sees fixed GM
   // addresses, so the full Report — l2_hit_bytes and fluid-model fields
-  // included — must match bit for bit between executors. scan_u/scan_ul1
-  // upload ScanConstants matrices per call; the deterministic virtual GM
-  // allocator hands the pool device the same (recycled) virtual addresses
-  // the spawn device's call used, so they qualify too.
+  // included — is reproducible. scan_u/scan_ul1 upload ScanConstants
+  // matrices per call at deterministic (recycled) virtual addresses.
   const std::size_t n = 8192;
-  acc::Device spawn(cfg_with(sim::ExecutorMode::Spawn));
-  acc::Device pool(cfg_with(sim::ExecutorMode::Pool));
-  auto x = spawn.upload(testing::exact_scan_workload(n, 31));
-  auto y = spawn.alloc<half>(n);
-  std::vector<half> va(n);
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  auto x = dev.upload(testing::exact_scan_workload(n, 31));
+  auto y = dev.alloc<half>(n);
 
-  using KernelFn = std::function<sim::Report(acc::Device&)>;
+  using KernelFn = std::function<sim::Report()>;
   const std::pair<const char*, KernelFn> cases[] = {
-      {"copy", [&](acc::Device& d) {
-         return kernels::copy_kernel<half>(d, x.tensor(), y.tensor(), n, 0);
+      {"shared_buffers.copy", [&] {
+         return kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), n, 0);
        }},
-      {"scan_u", [&](acc::Device& d) {
-         return kernels::scan_u(d, x.tensor(), y.tensor(), n, 128);
+      {"shared_buffers.scan_u", [&] {
+         return kernels::scan_u(dev, x.tensor(), y.tensor(), n, 128);
        }},
-      {"scan_ul1", [&](acc::Device& d) {
-         return kernels::scan_ul1(d, x.tensor(), y.tensor(), n, 128);
+      {"shared_buffers.scan_ul1", [&] {
+         return kernels::scan_ul1(dev, x.tensor(), y.tensor(), n, 128);
        }},
-      {"vec_cumsum", [&](acc::Device& d) {
-         return kernels::vec_cumsum(d, x.tensor(), y.tensor(), n);
+      {"shared_buffers.vec_cumsum", [&] {
+         return kernels::vec_cumsum(dev, x.tensor(), y.tensor(), n);
        }},
   };
-  for (const auto& [name, fn] : cases) {
-    const sim::Report a = fn(spawn);
-    va = y.host();
-    const sim::Report b = fn(pool);
-    EXPECT_TRUE(sim::identical(a, b))
-        << name << ": spawn time " << a.time_s << "s vs pool " << b.time_s;
-    EXPECT_EQ(va, y.host()) << name << ": values differ across executors";
+  for (const auto& [key, fn] : cases) {
+    const sim::Report r = fn();
+    expect_golden(key, r, testing::hash_values(y.host()));
   }
 }
 
-TEST(Executor, PoolMatchesSpawnEveryScanAlgo) {
+TEST(Executor, GoldenEveryScanAlgo) {
   const auto x = testing::exact_scan_workload(4096, 23);
   {  // MCScan (fp32 output path)
-    std::vector<float> first;
-    expect_executors_identical([&](Session& s) {
-      auto r = s.cumsum(x);
-      if (first.empty()) {
-        first = r.values;
-      } else {
-        EXPECT_EQ(first, r.values) << "MCScan values differ across executors";
-      }
-      return r.report;
-    });
+    Session s(sim::MachineConfig::ascend_910b4());
+    const auto r = s.cumsum(x);
+    expect_golden("scan_algo.mcscan", r.report, testing::hash_values(r.values));
   }
-  for (ScanAlgo algo :
-       {ScanAlgo::ScanU, ScanAlgo::ScanUL1, ScanAlgo::VectorBaseline}) {
-    std::vector<half> first;
-    expect_executors_identical([&](Session& s) {
-      auto r = s.cumsum_f16(x, {.algo = algo});
-      if (first.empty()) {
-        first = r.values;
-      } else {
-        const bool same = first == r.values;
-        EXPECT_TRUE(same) << "values differ across executors, algo "
-                          << static_cast<int>(algo);
-      }
-      return r.report;
-    });
+  const std::pair<const char*, ScanAlgo> algos[] = {
+      {"scan_algo.scan_u", ScanAlgo::ScanU},
+      {"scan_algo.scan_ul1", ScanAlgo::ScanUL1},
+      {"scan_algo.vector_baseline", ScanAlgo::VectorBaseline},
+  };
+  for (const auto& [key, algo] : algos) {
+    Session s(sim::MachineConfig::ascend_910b4());
+    const auto r = s.cumsum_f16(x, {.algo = algo});
+    expect_golden(key, r.report, testing::hash_values(r.values));
   }
 }
 
-TEST(Executor, PoolMatchesSpawnSort) {
-  const auto keys = distinct_keys(2048);
-  std::vector<half> values;
-  std::vector<std::int32_t> indices;
-  expect_executors_identical([&](Session& s) {
-    auto r = s.sort(keys);
-    if (values.empty()) {
-      values = r.values;
-      indices = r.indices;
-    } else {
-      EXPECT_TRUE(values == r.values && indices == r.indices)
-          << "sort output differs across executors";
-    }
-    return r.report;
-  });
+TEST(Executor, GoldenSort) {
+  Session s(sim::MachineConfig::ascend_910b4());
+  const auto r = s.sort(distinct_keys(2048));
+  expect_golden("sort", r.report,
+                testing::hash_values(r.values) + "/" +
+                    testing::hash_values(r.indices));
 }
 
-TEST(Executor, PoolMatchesSpawnTopPSampleBatch) {
+TEST(Executor, GoldenTopPSampleBatch) {
   const std::size_t batch = 4, vocab = 512;
   std::vector<half> probs(batch * vocab);
   for (std::size_t b = 0; b < batch; ++b) {
@@ -161,26 +114,19 @@ TEST(Executor, PoolMatchesSpawnTopPSampleBatch) {
       probs[b * vocab + i] = half(static_cast<float>(p + 1) / 512.0f);
     }
   }
-  const std::vector<double> u = {0.1, 0.4, 0.7, 0.95};
-  std::vector<std::int32_t> tokens;
-  expect_executors_identical([&](Session& s) {
-    auto r = s.top_p_sample_batch(probs, batch, vocab, 0.9, u);
-    if (tokens.empty()) {
-      tokens = r.tokens;
-    } else {
-      EXPECT_EQ(tokens, r.tokens) << "sampled tokens differ across executors";
-    }
-    return r.report;
-  });
+  Session s(sim::MachineConfig::ascend_910b4());
+  const auto r =
+      s.top_p_sample_batch(probs, batch, vocab, 0.9, {0.1, 0.4, 0.7, 0.95});
+  expect_golden("top_p_sample_batch", r.report, testing::hash_values(r.tokens));
 }
 
-TEST(Executor, RepeatedLaunchesOnPoolStayIdentical) {
-  // Repeated launches run on recycled contexts/arenas/scratch — they must
-  // reproduce values and every trace-derived metric exactly. Session::cumsum
-  // uploads fresh GM buffers per call, but the virtual-address free list
-  // hands each repeat the same addresses, so from the second call on (L2
-  // warm) the Reports are bit-identical.
-  Session s(cfg_with(sim::ExecutorMode::Pool));
+TEST(Executor, RepeatedLaunchesStayIdentical) {
+  // Repeated launches run on recycled contexts/arenas/stacks/scratch — they
+  // must reproduce values and every trace-derived metric exactly.
+  // Session::cumsum uploads fresh GM buffers per call, but the
+  // virtual-address free list hands each repeat the same addresses, so
+  // from the second call on (L2 warm) the Reports are bit-identical.
+  Session s(sim::MachineConfig::ascend_910b4());
   const auto x = testing::exact_scan_workload(2048, 5);
   const auto r1 = s.cumsum(x);
   const auto r2 = s.cumsum(x);
@@ -193,7 +139,7 @@ TEST(Executor, RepeatedLaunchesOnPoolStayIdentical) {
 
   // Device-resident repeats on fixed buffers: no internal GM allocations,
   // so after the first (cold-L2) launch the Reports must be bit-identical.
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool));
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
   auto dx = dev.upload(x);
   auto dy = dev.alloc<half>(x.size());
   (void)kernels::vec_cumsum(dev, dx.tensor(), dy.tensor(), x.size());
@@ -205,40 +151,59 @@ TEST(Executor, RepeatedLaunchesOnPoolStayIdentical) {
       << "steady-state repeated launches must be bit-identical";
 }
 
-TEST(Executor, PoolGrowsToLargestLaunchAndKeepsWorkers) {
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool));
-  auto x = dev.alloc<half>(4096, half(1.0f));
-  auto y = dev.alloc<half>(4096);
-  kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 4096, 2);
-  const int small = dev.engine().pool_workers();
-  EXPECT_EQ(small, 2);  // VectorOnly launch of 2 blocks = 2 sub-cores
-  kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 4096, 0);
-  const int large = dev.engine().pool_workers();
-  EXPECT_EQ(large, dev.config().num_vec_cores());
-  kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 4096, 1);
-  EXPECT_EQ(dev.engine().pool_workers(), large) << "pool must never shrink";
+// ---------------------------------------------------------------------------
+// Carriers and deadlock reporting.
+
+TEST(Executor, HelperThreadsStayBelowHostCores) {
+  // A full-width copy launch has 40 vector blocks; the device runs them on
+  // at most one carrier per host core, the caller being one of them.
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  auto x = dev.upload(testing::exact_scan_workload(8192, 3));
+  auto y = dev.alloc<half>(8192);
+  (void)kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 8192, 0);
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_LE(dev.engine().helper_threads(), std::max(hw, 1) - 1);
 }
 
-// ---------------------------------------------------------------------------
-// Runtime switches.
+TEST(Executor, UnsetFlagReportsDeadlock) {
+  // Every vector sub-core waits on a flag that no cube core ever sets: the
+  // launch can never finish. It must unwind and name itself, not hang.
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  for (int blocks : {1, 20}) {
+    try {
+      (void)acc::launch(
+          dev,
+          {.block_dim = blocks, .mode = acc::LaunchMode::Mix,
+           .name = "never_set"},
+          [](acc::KernelContext& c) {
+            auto& flags = c.shared().flags("ready", 1);
+            if (c.is_vector()) flags.wait(c, 0);
+          });
+      ADD_FAILURE() << "deadlocked launch of " << blocks << " blocks returned";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("never_set"), std::string::npos) << what;
+      EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+    }
+  }
+  // The device stays usable after a reported deadlock.
+  auto x = dev.upload(testing::exact_scan_workload(4096, 9));
+  auto y = dev.alloc<half>(4096);
+  (void)kernels::vec_cumsum(dev, x.tensor(), y.tensor(), 4096);
+}
 
-TEST(Executor, EnvSwitchSelectsExecutor) {
-  ::setenv("ASCAN_EXECUTOR", "spawn", 1);
-  EXPECT_EQ(sim::resolve_executor_mode(sim::ExecutorMode::Auto),
-            sim::ExecutorMode::Spawn);
-  ::setenv("ASCAN_EXECUTOR", "POOL", 1);  // case-insensitive
-  EXPECT_EQ(sim::resolve_executor_mode(sim::ExecutorMode::Auto),
-            sim::ExecutorMode::Pool);
-  ::setenv("ASCAN_EXECUTOR", "bogus", 1);
-  EXPECT_THROW(sim::resolve_executor_mode(sim::ExecutorMode::Auto), Error);
-  ::unsetenv("ASCAN_EXECUTOR");
-  EXPECT_EQ(sim::resolve_executor_mode(sim::ExecutorMode::Auto),
-            sim::ExecutorMode::Pool);  // default
-  // An explicit MachineConfig field wins over the environment.
-  ::setenv("ASCAN_EXECUTOR", "pool", 1);
-  EXPECT_EQ(sim::resolve_executor_mode(sim::ExecutorMode::Spawn),
-            sim::ExecutorMode::Spawn);
-  ::unsetenv("ASCAN_EXECUTOR");
+TEST(Executor, BarrierMismatchReportsDeadlock) {
+  // Sub-core 0 of the launch skips the SyncAll its siblings wait at and
+  // finishes: the remaining carriers all idle with no progress left.
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  EXPECT_THROW(
+      (void)acc::launch(dev,
+                        {.block_dim = 8, .mode = acc::LaunchMode::VectorOnly,
+                         .name = "skipped_sync"},
+                        [](acc::KernelContext& c) {
+                          if (c.GetBlockIdx() != 0) c.SyncAll();
+                        }),
+      Error);
 }
 
 }  // namespace

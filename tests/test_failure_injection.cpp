@@ -7,13 +7,13 @@
 
 #include "ascendc/ascendc.hpp"
 #include "core/ascan.hpp"
-#include "sim/executor.hpp"
 #include "kernels/mcscan.hpp"
 #include "kernels/radix_sort.hpp"
 #include "kernels/sampling.hpp"
 #include "kernels/segmented_scan.hpp"
 #include "kernels/split.hpp"
 #include "kernels/topk.hpp"
+#include "golden.hpp"
 #include "test_helpers.hpp"
 
 namespace ascend {
@@ -272,17 +272,15 @@ TEST(FailureInjection, SameFaultPlanSeedProducesIdenticalReports) {
   EXPECT_DOUBLE_EQ(r1.backoff_s, r2.backoff_s);
 }
 
-TEST(FailureInjection, JitteredBackoffIsSeededAndExecutorInvariant) {
+TEST(FailureInjection, JitteredBackoffIsSeededAndMatchesGolden) {
   // Backoff jitter de-synchronizes a retry herd but must stay a pure
   // function of (jitter_seed, call ordinal, retry ordinal): bit-identical
-  // across runs and across host executors, never dependent on thread
-  // scheduling or wall clock.
+  // across runs and to the recorded run (tests/golden/executor.txt), never
+  // dependent on thread scheduling or wall clock.
   const auto x = testing::exact_scan_workload(2048, 31);
-  auto run_once = [&x](sim::ExecutorMode mode, double jitter,
-                       std::uint64_t jitter_seed) {
+  auto run_once = [&x](double jitter, std::uint64_t jitter_seed) {
     auto cfg = small_cfg();
     cfg.num_ai_cores = 4;
-    cfg.executor = mode;
     ascan::Session s(cfg);
     sim::FaultPlan p;
     p.seed = 42;
@@ -302,25 +300,29 @@ TEST(FailureInjection, JitteredBackoffIsSeededAndExecutorInvariant) {
     return s.cumulative_retry_stats();
   };
 
-  const auto a = run_once(sim::ExecutorMode::Spawn, 0.5, 7);
-  const auto b = run_once(sim::ExecutorMode::Spawn, 0.5, 7);
-  const auto c = run_once(sim::ExecutorMode::Pool, 0.5, 7);
+  const auto a = run_once(0.5, 7);
+  const auto b = run_once(0.5, 7);
   ASSERT_GE(a.retries, 1u) << "plan never exercised the backoff path";
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_DOUBLE_EQ(a.backoff_s, b.backoff_s);  // same seed, same run
-  EXPECT_EQ(a.attempts, c.attempts);
-  EXPECT_EQ(a.retries, c.retries);
-  EXPECT_DOUBLE_EQ(a.backoff_s, c.backoff_s);  // executor-invariant
+  testing::expect_golden(
+      "executor.txt", "jittered_backoff",
+      "calls=" + std::to_string(a.calls) +
+          " failures=" + std::to_string(a.failures) +
+          " attempts=" + std::to_string(a.attempts) +
+          " retries=" + std::to_string(a.retries) +
+          " excluded=" + std::to_string(a.excluded_cores) +
+          " backoff=" + testing::hexf(a.backoff_s));
 
   // A different jitter seed moves the delays (the fault sequence itself is
   // the fault plan's business and stays put)...
-  const auto d = run_once(sim::ExecutorMode::Spawn, 0.5, 8);
+  const auto d = run_once(0.5, 8);
   EXPECT_EQ(a.retries, d.retries);
   EXPECT_NE(a.backoff_s, d.backoff_s);
   // ...and zero jitter reproduces the legacy fixed doubling, bounded by
   // the jittered run's [1 -/+ 0.5] envelope.
-  const auto e = run_once(sim::ExecutorMode::Spawn, 0.0, 7);
+  const auto e = run_once(0.0, 7);
   EXPECT_EQ(a.retries, e.retries);
   EXPECT_GE(a.backoff_s, 0.5 * e.backoff_s);
   EXPECT_LE(a.backoff_s, 1.5 * e.backoff_s);

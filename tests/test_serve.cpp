@@ -16,7 +16,6 @@
 #include "core/ascan.hpp"
 #include "serve/batcher.hpp"
 #include "serve/engine.hpp"
-#include "sim/executor.hpp"
 #include "test_helpers.hpp"
 
 namespace ascend {
@@ -27,12 +26,6 @@ using ascan::Session;
 using ascan::SortAlgo;
 using namespace ascan::serve;
 using testing::exact_scan_workload;
-
-sim::MachineConfig cfg_with(sim::ExecutorMode mode) {
-  auto cfg = sim::MachineConfig::ascend_910b4();
-  cfg.executor = mode;
-  return cfg;
-}
 
 /// 0/1 segment-start flags with a forced start at 0 (matches the serving
 /// engine's request-boundary normalisation, so direct calls are comparable).
@@ -288,16 +281,15 @@ void expect_matches(const Response& got, const Expected& e, std::size_t i) {
   ASSERT_EQ(got.token, e.direct.token) << "case " << i;
 }
 
-void run_bit_exact(sim::ExecutorMode mode) {
-  Session ref(cfg_with(mode));
+TEST(ServeEngine, BitExactVersusDirectSession) {
+  Session ref(sim::MachineConfig::ascend_910b4());
   constexpr std::size_t kCases = 24;
   constexpr int kClients = 4;
   std::vector<Expected> cases;
   cases.reserve(kCases);
   for (std::size_t i = 0; i < kCases; ++i) cases.push_back(make_case(i, ref));
 
-  Engine engine({.policy = {.max_batch = 8, .max_wait_s = 300e-6},
-                 .machine = cfg_with(mode)});
+  Engine engine({.policy = {.max_batch = 8, .max_wait_s = 300e-6}});
   std::vector<std::future<Response>> futs(kCases);
   std::vector<std::thread> clients;
   std::atomic<std::size_t> next{0};
@@ -317,14 +309,6 @@ void run_bit_exact(sim::ExecutorMode mode) {
   const auto m = engine.metrics();
   EXPECT_EQ(m.completed, kCases);
   EXPECT_EQ(m.failed + m.cancelled + m.rejected_capacity, 0u);
-}
-
-TEST(ServeEngine, BitExactVersusDirectSessionSpawn) {
-  run_bit_exact(sim::ExecutorMode::Spawn);
-}
-
-TEST(ServeEngine, BitExactVersusDirectSessionPool) {
-  run_bit_exact(sim::ExecutorMode::Pool);
 }
 
 TEST(ServeEngine, BatchingActuallyCoalesces) {
@@ -542,11 +526,10 @@ TEST(LatencyHistogram, PercentilesAreBucketUpperBounds) {
 
 // ---------------------------------------------------------------------------
 // Tentpole: streamed per-tile results through the Engine. Chunks must be
-// bit-exact prefixes of the final payload under both host executors.
+// bit-exact prefixes of the final payload.
 
-void run_streaming_prefixes(sim::ExecutorMode mode) {
-  Engine engine({.policy = {.max_batch = 4, .max_wait_s = 100e-6},
-                 .machine = cfg_with(mode)});
+TEST(ServeStreaming, ChunksAreBitExactPrefixes) {
+  Engine engine({.policy = {.max_batch = 4, .max_wait_s = 100e-6}});
   const auto x = exact_scan_workload(2048, 50);  // 8 steps at tile 16
   Request req = Request::cumsum(x, 16);
   std::mutex mu;
@@ -583,14 +566,6 @@ void run_streaming_prefixes(sim::ExecutorMode mode) {
   EXPECT_EQ(m.stream_chunks, chunks.size());
   EXPECT_EQ(m.chunk_latency.count(), chunks.size());
   EXPECT_GE(m.sim_steps, static_cast<int>(chunks.size()));
-}
-
-TEST(ServeStreaming, ChunksAreBitExactPrefixesSpawn) {
-  run_streaming_prefixes(sim::ExecutorMode::Spawn);
-}
-
-TEST(ServeStreaming, ChunksAreBitExactPrefixesPool) {
-  run_streaming_prefixes(sim::ExecutorMode::Pool);
 }
 
 TEST(ServeStreaming, SegmentedChunksTileTheFinalPayload) {

@@ -7,8 +7,8 @@
 //    lost or duplicated.
 //  * Preemption is observationally invisible except in latency: a bulk
 //    batch parked at a tile boundary and resumed later produces results
-//    byte-identical to an unpreempted run (both host executors), with its
-//    streamed chunks still bit-exact contiguous prefixes.
+//    byte-identical to an unpreempted run, with its streamed chunks still
+//    bit-exact contiguous prefixes.
 //  * Preemption never starves bulk: a launch whose rows have aged past the
 //    starvation guard cannot be parked again (aging outranks preemption,
 //    exactly as it outranks lane priority).
@@ -30,7 +30,6 @@
 #include "serve/batcher.hpp"
 #include "serve/cluster.hpp"
 #include "serve/engine.hpp"
-#include "sim/executor.hpp"
 #include "test_helpers.hpp"
 
 namespace ascend {
@@ -39,12 +38,6 @@ namespace {
 using ascan::Session;
 using namespace ascan::serve;
 using testing::exact_scan_workload;
-
-sim::MachineConfig cfg_with(sim::ExecutorMode mode) {
-  auto cfg = sim::MachineConfig::ascend_910b4();
-  cfg.executor = mode;
-  return cfg;
-}
 
 // ---------------------------------------------------------------------------
 // EDF property: randomized arrival/deadline streams against an oracle.
@@ -121,9 +114,9 @@ TEST(SloEdfProperty, RandomizedDeadlineStreamPopsInEdfOrderExactlyOnce) {
 // follows the chunk in the same step, so the bulk parks at the first tile
 // boundary however fast the host runs the remaining steps.
 
-void run_preempted_bit_exact(sim::ExecutorMode mode) {
+TEST(SloPreemption, PreemptedBulkBitExact) {
   const auto x = exact_scan_workload(16384, 77);  // tile 16 -> 64 steps
-  Session direct(cfg_with(mode));
+  Session direct(sim::MachineConfig::ascend_910b4());
   const auto want = direct.cumsum_batched(x, 1, x.size(), 16);
 
   // Generous aging limit: the aging guard outranks preemption, and a
@@ -133,8 +126,7 @@ void run_preempted_bit_exact(sim::ExecutorMode mode) {
                             .max_wait_s = 50e-6,
                             .aging_factor = 1e9,
                             .preempt_slack_s = 1e9},
-                 .num_workers = 1,
-                 .machine = cfg_with(mode)});
+                 .num_workers = 1});
 
   std::mutex mu;
   std::condition_variable cv;
@@ -195,14 +187,6 @@ void run_preempted_bit_exact(sim::ExecutorMode mode) {
   EXPECT_GE(m.preempted_tiles_resumed, 1u);
   EXPECT_EQ(m.tier_latency[static_cast<std::size_t>(SloTier::Gold)].count(),
             1u);
-}
-
-TEST(SloPreemption, PreemptedBulkBitExactSpawn) {
-  run_preempted_bit_exact(sim::ExecutorMode::Spawn);
-}
-
-TEST(SloPreemption, PreemptedBulkBitExactPool) {
-  run_preempted_bit_exact(sim::ExecutorMode::Pool);
 }
 
 TEST(SloPreemption, SegmentedPreemptedBulkBitExact) {
