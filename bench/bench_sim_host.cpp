@@ -105,6 +105,32 @@ static void BM_SessionCumsum(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionCumsum)->Arg(1 << 12)->Arg(1 << 16)->UseRealTime();
 
+// Row-wise scans on the paired ScanU schedule: 16x320 is one serve_small
+// launch (each row fills 3 of a 128x128 tile's rows), 1x320 leaves one
+// block busy and shows the fixed cost of a launch, and 256x2048 is the
+// paper_suite shape.
+static void BM_SessionCumsumBatched(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto len = static_cast<std::size_t>(state.range(1));
+  const auto x = bench_workload(batch * len);
+  ascan::Session s(sim::MachineConfig::ascend_910b4());
+  std::int64_t launches = 0;
+  for (auto _ : state) {
+    const auto r = s.cumsum_batched(x, batch, len);
+    launches += r.report.launches;
+    benchmark::DoNotOptimize(r.values.data());
+  }
+  state.counters["launches_per_s"] = benchmark::Counter(
+      static_cast<double>(launches), benchmark::Counter::kIsRate);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch * len));
+}
+BENCHMARK(BM_SessionCumsumBatched)
+    ->Args({16, 320})
+    ->Args({1, 320})
+    ->Args({256, 2048})
+    ->UseRealTime();
+
 static void BM_SessionSort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<half> keys(n);

@@ -115,6 +115,106 @@ inline void axpy_row(float* c, float a, const float* b, std::size_t n) {
   }
 }
 
+// Zero-tail extents (BufferState). Bytes of a cube-side slot past its
+// extent read as zero whatever memory holds there, so an intrinsic touches
+// only the live bytes:
+// - a write raises the extent to the end of what it wrote, zero-filling any
+//   gap between the old extent and the write's start;
+// - a write of data followed by zeros that reaches the extent lowers the
+//   extent to the end of the data and writes no zeros (an all-zero
+//   InitConstValue, LoadData/DataCopyLocal/FixpipeLocal of a short source,
+//   a non-accumulating Mmad on short A);
+// - a reader copies only live bytes and hands the extent on, or writes real
+//   zeros where its destination is not a tracked slot (Fixpipe and
+//   local -> GM DataCopy);
+// - an intrinsic that cannot honour the extent materializes the bytes it
+//   reads or writes first (real zeros up to their end).
+// Only the functional pass sees extents: every record_* call keeps its
+// declared sizes, so traces and simulated time do not depend on them.
+// Vector intrinsics never meet a tracked slot: cube-side positions exist
+// only on the cube core.
+
+inline bool tracked(const BufferState* st) {
+  return st != nullptr && st->base != nullptr;
+}
+
+template <typename T>
+std::size_t slot_offset(const LocalTensor<T>& t) {
+  return static_cast<std::size_t>(
+      reinterpret_cast<const std::byte*>(t.data()) - t.state()->base);
+}
+
+/// How many of t's first n elements lie before the extent; the rest read
+/// as zero.
+template <typename T>
+std::size_t live_elems(const LocalTensor<T>& t, std::size_t n) {
+  const BufferState* st = t.state();
+  if (!tracked(st)) return n;
+  const std::size_t off = slot_offset(t);
+  if (st->extent <= off) return 0;
+  return std::min(n, ceil_div(st->extent - off, sizeof(T)));
+}
+
+/// Makes t's first n elements real: the part past the extent becomes zeros
+/// in memory and the extent covers it.
+template <typename T>
+void materialize(const LocalTensor<T>& t, std::size_t n) {
+  BufferState* st = t.state();
+  if (!tracked(st)) return;
+  const std::size_t end = slot_offset(t) + n * sizeof(T);
+  if (end <= st->extent) return;
+  std::memset(st->base + st->extent, 0, end - st->extent);
+  st->extent = end;
+}
+
+/// Bookkeeping for a write of t's first n elements: raises the extent to
+/// the write's end. Call before or after the write.
+template <typename T>
+void note_write(const LocalTensor<T>& t, std::size_t n) {
+  BufferState* st = t.state();
+  if (!tracked(st) || n == 0) return;
+  const std::size_t off = slot_offset(t);
+  const std::size_t end = off + n * sizeof(T);
+  if (end <= st->extent) return;
+  if (off > st->extent) std::memset(st->base + st->extent, 0, off - st->extent);
+  st->extent = end;
+}
+
+/// Bookkeeping for a write of t's first n elements whose first `live` carry
+/// data and whose rest are zeros: writes the zeros that must be real and
+/// sets the extent. The caller then writes the `live` data elements.
+template <typename T>
+void note_zero_tail_write(const LocalTensor<T>& t, std::size_t live,
+                          std::size_t n) {
+  BufferState* st = t.state();
+  if (!tracked(st)) {
+    std::memset(static_cast<void*>(t.data() + live), 0,
+                (n - live) * sizeof(T));
+    return;
+  }
+  const std::size_t off = slot_offset(t);
+  const std::size_t live_end = off + live * sizeof(T);
+  const std::size_t end = off + n * sizeof(T);
+  if (end < st->extent) {  // live bytes follow the write: zeros are real
+    std::memset(st->base + live_end, 0, end - live_end);
+    return;
+  }
+  if (live == 0) {
+    st->extent = std::min(st->extent, off);
+  } else {
+    if (off > st->extent) {
+      std::memset(st->base + st->extent, 0, off - st->extent);
+    }
+    st->extent = live_end;
+  }
+#ifndef NDEBUG
+  // Poison what now reads as zero (0xFF is a NaN in fp16 and fp32), so a
+  // reader that ignores the extent fails the bit-exact tests instead of
+  // reading zeros left by chance in a fresh arena.
+  std::memset(st->base + st->extent, 0xFF, st->bytes - st->extent);
+#endif
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -127,6 +227,7 @@ void DataCopy(KernelContext& ctx, const LocalTensor<T>& dst,
   ASCAN_CHECK(n <= dst.size() && n <= src.size(),
               "DataCopy overflow: n=" << n << " dst=" << dst.size()
                                       << " src=" << src.size());
+  detail::note_write(dst, n);
   std::memcpy(dst.data(), src.data(), n * sizeof(T));
   ctx.record_transfer(sim::EngineKind::Mte2, n * sizeof(T), src.gm_addr(),
                       /*gm_write=*/false, "datacopy.in", nullptr, dst.state());
@@ -139,7 +240,9 @@ void DataCopy(KernelContext& ctx, const GlobalTensor<T>& dst,
   ASCAN_CHECK(n <= dst.size() && n <= src.size(),
               "DataCopy overflow: n=" << n << " dst=" << dst.size()
                                       << " src=" << src.size());
-  std::memcpy(dst.data(), src.data(), n * sizeof(T));
+  const std::size_t live = detail::live_elems(src, n);
+  std::memcpy(dst.data(), src.data(), live * sizeof(T));
+  std::memset(static_cast<void*>(dst.data() + live), 0, (n - live) * sizeof(T));
   ctx.record_transfer(sim::EngineKind::Mte3, n * sizeof(T), dst.gm_addr(),
                       /*gm_write=*/true, "datacopy.out", src.state(), nullptr);
 }
@@ -149,7 +252,9 @@ template <typename T>
 void DataCopyLocal(KernelContext& ctx, const LocalTensor<T>& dst,
                    const LocalTensor<T>& src, std::size_t n) {
   ASCAN_CHECK(n <= dst.size() && n <= src.size(), "DataCopyLocal overflow");
-  std::memcpy(dst.data(), src.data(), n * sizeof(T));
+  const std::size_t live = detail::live_elems(src, n);
+  detail::note_zero_tail_write(dst, live, n);
+  std::memcpy(dst.data(), src.data(), live * sizeof(T));
   ctx.record_compute(sim::EngineKind::Mte1,
                      detail::local_copy_cycles(ctx.cfg(), n * sizeof(T)),
                      "datacopy.local", {src.state()}, {dst.state()});
@@ -172,6 +277,8 @@ void DataCopy2D(KernelContext& ctx, const LocalTensor<T>& dst,
               "DataCopy2D dst overflow");
   ASCAN_CHECK((p.block_count - 1) * src_stride + p.block_len <= src.size(),
               "DataCopy2D src overflow");
+  // The stride gaps keep their contents, so the span must be real first.
+  detail::materialize(dst, (p.block_count - 1) * dst_stride + p.block_len);
   for (std::size_t r = 0; r < p.block_count; ++r) {
     std::memcpy(dst.data() + r * dst_stride, src.data() + r * src_stride,
                 p.block_len * sizeof(T));
@@ -190,6 +297,7 @@ void DataCopy2D(KernelContext& ctx, const GlobalTensor<T>& dst,
               "DataCopy2D src overflow");
   ASCAN_CHECK((p.block_count - 1) * dst_stride + p.block_len <= dst.size(),
               "DataCopy2D dst overflow");
+  detail::materialize(src, (p.block_count - 1) * src_stride + p.block_len);
   for (std::size_t r = 0; r < p.block_count; ++r) {
     std::memcpy(dst.data() + r * dst_stride, src.data() + r * src_stride,
                 p.block_len * sizeof(T));
@@ -229,10 +337,26 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
   ASCAN_CHECK(M * K <= a.size() && K * N <= b.size() && M * N <= c.size(),
               "Mmad shape exceeds operand tiles");
 
+  // Host work follows A's zero-tail extent: rows past it are all zeros, and
+  // the generic loop leaves C's row unchanged for an all-zero A row (it
+  // skips every av == 0), so only the live rows are computed. A's partial
+  // last row, all of B (a zero B row is not skippable: -0.0 + 0 and
+  // inf * 0 differ from leaving C alone) and the C rows an accumulating
+  // call adds to become real first. A fresh C is zero past the live rows.
+  const std::size_t rows =
+      K == 0 ? 0 : std::min(M, ceil_div(detail::live_elems(a, M * K), K));
+  detail::materialize(a, rows * K);
+  detail::materialize(b, K * N);
+  if (accumulate) {
+    detail::materialize(c, rows * N);
+  } else {
+    detail::note_zero_tail_write(c, rows * N, M * N);
+  }
+
   Acc* cd = c.data();
   const In* ad = a.data();
   const In* bd = b.data();
-  if (!accumulate) std::fill(cd, cd + M * N, Acc{});
+  if (!accumulate) std::fill(cd, cd + rows * N, Acc{});
   const detail::MmadBKind bkind = detail::classify_mmad_b(bd, K, N);
   if constexpr (std::is_same_v<In, half>) {
     // Widen the A tile to float once (8 lanes per F16C instruction) instead
@@ -240,8 +364,8 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
     // pure float mul+add, exactly the per-lane operations of the scalar
     // path (no FMA contraction anywhere), so results stay bit-identical.
     thread_local std::vector<float> a_wide, b_wide;
-    a_wide.resize(M * K);
-    half_to_float_n(ad, a_wide.data(), M * K);
+    a_wide.resize(rows * K);
+    half_to_float_n(ad, a_wide.data(), rows * K);
     bool b_widened = false;
     // The generic loop for one row of C: crow[j] += A[i][k] * B[k][j] in
     // increasing k. The closed forms below hand it the rows they cannot
@@ -278,7 +402,7 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
         generic_row(i);
       };
       std::size_t i = 0;
-      for (; i + 4 <= M; i += 4) {
+      for (; i + 4 <= rows; i += 4) {
         const float* r0 = a_wide.data() + i * K;
         const float* r1 = r0 + K;
         const float* r2 = r1 + K;
@@ -299,7 +423,7 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
         redo_if_nonfinite(i + 2, s2);
         redo_if_nonfinite(i + 3, s3);
       }
-      for (; i < M; ++i) {
+      for (; i < rows; ++i) {
         const float* arow = a_wide.data() + i * K;
         float* crow = cd + i * N;
         float run = 0.0f;
@@ -321,7 +445,7 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
       // result: when two NaNs meet, which one survives depends on the
       // order of the add's operands, and only the generic loop pins it.
       const float one = static_cast<float>(bd[0]);
-      for (std::size_t i = 0; i < M; ++i) {
+      for (std::size_t i = 0; i < rows; ++i) {
         float* crow = cd + i * N;
         float run = crow[0];
         if (!accumulate ||
@@ -340,10 +464,10 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
         generic_row(i);
       }
     } else {
-      for (std::size_t i = 0; i < M; ++i) generic_row(i);
+      for (std::size_t i = 0; i < rows; ++i) generic_row(i);
     }
   } else if (bkind == detail::MmadBKind::Generic) {
-    for (std::size_t i = 0; i < M; ++i) {
+    for (std::size_t i = 0; i < rows; ++i) {
       for (std::size_t k = 0; k < K; ++k) {
         const Acc av = static_cast<Acc>(static_cast<float>(ad[i * K + k]));
         if (av == Acc{}) continue;  // fast path for sparse constant operands
@@ -357,7 +481,7 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
   } else {
     // Integer sums are exact in any order, so A@U_s is a per-row running
     // sum and A@1_s a row-sum broadcast, accumulating or not.
-    for (std::size_t i = 0; i < M; ++i) {
+    for (std::size_t i = 0; i < rows; ++i) {
       const In* arow = ad + i * K;
       Acc* crow = cd + i * N;
       Acc run{};
@@ -394,13 +518,16 @@ void Fixpipe(KernelContext& ctx, const GlobalTensor<Out>& dst,
   ASCAN_CHECK(ctx.is_cube(), "Fixpipe runs on the cube core");
   ASCAN_CHECK(src.position() == TPosition::CO1, "Fixpipe source must be L0C");
   ASCAN_CHECK(n <= dst.size() && n <= src.size(), "Fixpipe overflow");
+  const std::size_t live = detail::live_elems(src, n);
   if constexpr (std::is_same_v<Out, half> && std::is_same_v<Acc, float>) {
-    float_to_half_n(src.data(), dst.data(), n);
+    float_to_half_n(src.data(), dst.data(), live);
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < live; ++i) {
       dst.data()[i] = static_cast<Out>(src.data()[i]);
     }
   }
+  std::memset(static_cast<void*>(dst.data() + live), 0,
+              (n - live) * sizeof(Out));
   ctx.record_transfer(sim::EngineKind::Mte3, n * sizeof(Out), dst.gm_addr(),
                       true, "fixpipe", src.state(), nullptr);
 }
@@ -416,10 +543,12 @@ void FixpipeLocal(KernelContext& ctx, const LocalTensor<Out>& dst_l1,
                   dst_l1.position() == TPosition::B1,
               "FixpipeLocal destination must be in L1");
   ASCAN_CHECK(n <= dst_l1.size() && n <= src.size(), "FixpipeLocal overflow");
+  const std::size_t live = detail::live_elems(src, n);
+  detail::note_zero_tail_write(dst_l1, live, n);
   if constexpr (std::is_same_v<Out, half> && std::is_same_v<Acc, float>) {
-    float_to_half_n(src.data(), dst_l1.data(), n);
+    float_to_half_n(src.data(), dst_l1.data(), live);
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < live; ++i) {
       if constexpr (std::is_same_v<Out, half>) {
         dst_l1.data()[i] = half(static_cast<float>(src.data()[i]));
       } else {
@@ -433,7 +562,8 @@ void FixpipeLocal(KernelContext& ctx, const LocalTensor<Out>& dst_l1,
 }
 
 /// Initialises a cube-side local buffer with a constant (AscendC
-/// InitConstValue) — used to zero padding in the last partial tile.
+/// InitConstValue) — used to zero padding in the last partial tile. An
+/// all-zero fill that reaches the extent only lowers it.
 template <typename T>
 void InitConstValue(KernelContext& ctx, const LocalTensor<T>& dst, T value,
                     std::size_t n) {
@@ -444,12 +574,17 @@ void InitConstValue(KernelContext& ctx, const LocalTensor<T>& dst, T value,
   for (std::size_t b = 1; b < sizeof(T); ++b) {
     uniform = uniform && pattern[b] == pattern[0];
   }
-  if (uniform) {
-    // Covers the dominant case — zeroing padding in the last partial tile
-    // (half(0) is all-zero bytes) — without a per-element store loop.
-    std::memset(static_cast<void*>(dst.data()), pattern[0], n * sizeof(T));
+  if (uniform && pattern[0] == 0) {
+    // The dominant case, zeroing the padding of a partial tile (half(0) is
+    // all-zero bytes): real zeros only where live bytes follow the fill.
+    detail::note_zero_tail_write(dst, 0, n);
   } else {
-    std::fill(dst.data(), dst.data() + n, value);
+    detail::note_write(dst, n);
+    if (uniform) {
+      std::memset(static_cast<void*>(dst.data()), pattern[0], n * sizeof(T));
+    } else {
+      std::fill(dst.data(), dst.data() + n, value);
+    }
   }
   ctx.record_compute(sim::EngineKind::Mte1,
                      detail::local_copy_cycles(ctx.cfg(), n * sizeof(T)),
@@ -465,6 +600,7 @@ void InitConstValue(KernelContext& ctx, const LocalTensor<T>& dst, T value,
 template <typename T>
 T GetValue(KernelContext& ctx, const LocalTensor<T>& t, std::size_t i) {
   ASCAN_CHECK(i < t.size(), "GetValue out of range");
+  detail::materialize(t, i + 1);
   const std::uint32_t id =
       ctx.record_compute(sim::EngineKind::Scalar, ctx.cfg().scalar_read_cycles,
                          "get_value", {t.state()}, {});
@@ -476,6 +612,7 @@ template <typename T>
 void SetValue(KernelContext& ctx, const LocalTensor<T>& t, std::size_t i,
               T value) {
   ASCAN_CHECK(i < t.size(), "SetValue out of range");
+  detail::note_write(t.sub(i, 1), 1);
   t.data()[i] = value;
   ctx.record_compute(sim::EngineKind::Scalar, ctx.cfg().scalar_op_cycles,
                      "set_value", {}, {t.state()});
@@ -879,6 +1016,8 @@ std::size_t ScalarCompact(KernelContext& ctx, const LocalTensor<T>& dst,
                           const LocalTensor<std::int8_t>& mask,
                           std::size_t n) {
   ASCAN_CHECK(n <= src.size() && n <= mask.size(), "ScalarCompact overflow");
+  detail::materialize(src, n);
+  detail::materialize(mask, n);
   std::size_t cnt = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (mask.data()[i] != 0) {
@@ -886,6 +1025,7 @@ std::size_t ScalarCompact(KernelContext& ctx, const LocalTensor<T>& dst,
       dst.data()[cnt++] = src.data()[i];
     }
   }
+  detail::note_write(dst, cnt);
   const std::uint32_t id = ctx.record_compute(
       sim::EngineKind::Scalar,
       static_cast<double>(n) * ctx.cfg().scalar_loop_cycles_per_elem,

@@ -45,10 +45,26 @@ constexpr const char* tposition_name(TPosition p) {
   return "?";
 }
 
+/// Cube-side positions: the L1 and L0 buffers of the AIC core.
+constexpr bool cube_side(TPosition p) {
+  return p == TPosition::A1 || p == TPosition::B1 || p == TPosition::A2 ||
+         p == TPosition::B2 || p == TPosition::CO1;
+}
+
 /// Hazard-tracking state of one physical buffer slot.
+///
+/// A cube-side slot also carries a zero-tail extent: bytes [0, extent) of
+/// the slot hold whatever memory holds, bytes past it read as zero. Every
+/// slot starts a launch at its full size; the cube intrinsics lower and
+/// raise the extent (rules in intrinsics.hpp), so a padded tile costs host
+/// work only for its live rows. Slots with a null `base` (UB, ad-hoc
+/// views) are not tracked and always read as memory holds.
 struct BufferState {
   std::uint32_t last_write_op = 0;
   std::uint32_t last_read_op = 0;
+  std::byte* base = nullptr;  ///< slot start, or null when untracked
+  std::size_t bytes = 0;      ///< slot size
+  std::size_t extent = 0;     ///< zero-tail extent in bytes, <= bytes
 };
 
 template <typename T>

@@ -130,8 +130,9 @@ class TPipe {
     que.slot_bytes_ = bytes_per_slot;
     que.slots_.resize(static_cast<std::size_t>(num));
     for (int i = 0; i < num; ++i) {
-      que.slots_[static_cast<std::size_t>(i)].data =
-          ctx_->arena_alloc(que.pos_, bytes_per_slot);
+      TQue::Slot& s = que.slots_[static_cast<std::size_t>(i)];
+      s.data = ctx_->arena_alloc(que.pos_, bytes_per_slot);
+      track_extent(s.state, que.pos_, s.data, bytes_per_slot);
       que.free_.push_back(static_cast<std::size_t>(i));
     }
   }
@@ -140,9 +141,20 @@ class TPipe {
     ASCAN_CHECK(buf.data_ == nullptr, "TBuf already initialised");
     buf.data_ = ctx_->arena_alloc(buf.pos_, bytes);
     buf.bytes_ = bytes;
+    track_extent(buf.state_, buf.pos_, buf.data_, bytes);
   }
 
  private:
+  /// Cube-side slots start with their whole size live.
+  static void track_extent(BufferState& st, TPosition pos, std::byte* data,
+                           std::size_t bytes) {
+    if (!cube_side(pos)) return;
+    st.base = data;
+    st.bytes = bytes;
+    st.extent = bytes;
+  }
+
+
   KernelContext* ctx_;
 };
 

@@ -42,7 +42,8 @@ using Clock = std::chrono::steady_clock;
 /// cluster re-dispatches the Pending, and whichever engine runs it next
 /// seeds its StreamSlot from the checkpoint — the host-side carry makes
 /// the resumed scan bit-exact with an unfaulted run for integer-valued
-/// data (the same 1-ulp caveat as stepping itself otherwise).
+/// data (on general fp16 data the same multi-ulp carry reassociation as
+/// stepping itself; see ROADMAP item 11).
 struct ResumeState {
   bool active = false;
   int from_device = -1;  ///< device the checkpoint came from

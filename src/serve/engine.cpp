@@ -492,9 +492,9 @@ struct Engine::CumsumRows {
 
   // Rounding note: a step applies the row carry as one uniform fp add per
   // element, where the monolithic kernels chain carries at s-element
-  // granularity — for integer-valued data both are exact and identical; for
-  // general fp data they may differ by the usual 1-ulp reassociation
-  // already documented for batched serving.
+  // granularity — for integer-valued data both are exact and identical; on
+  // general fp16 data they reassociate differently and may differ by
+  // several ulps (~12 on uniform(-1, 1) rows at tile 16; ROADMAP item 11).
   void carry_out(StreamSlot& s, std::size_t j) {
     const std::size_t n = chunk(s);
     const auto first = ys.begin() + static_cast<std::ptrdiff_t>(j * len);

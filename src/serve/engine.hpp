@@ -34,8 +34,10 @@
 //    batch neighbours.
 //  * Results are bit-exact with the equivalent direct Session calls
 //    (tests/test_serve.cpp pins this for integer-valued workloads, where
-//    every float operation is exact; for general data, batching/stepping
-//    may reassociate carries by at most 1 ulp). Streamed chunks are
+//    every float operation is exact; on general fp16 data batching and
+//    stepping reassociate carries, and served values can differ from a
+//    direct call by several ulps — ~12 ulps on uniform(-1, 1) rows at
+//    tile 16; ROADMAP item 11 states the bound to test). Streamed chunks are
 //    bit-exact prefixes of the final Response (never revised), and a
 //    request admitted mid-launch produces results identical to a
 //    standalone submit — per-row kernel math depends only on the row's

@@ -105,6 +105,55 @@ TEST(Executor, GoldenSort) {
                     testing::hash_values(r.indices));
 }
 
+TEST(Executor, GoldenBatchedScan) {
+  // Both batched schedules on partial tiles: the serving shape (16 rows of
+  // 320 fill 3 of a 128x128 tile's rows), a ragged multi-tile shape, and
+  // tile 16. Noise values make every rounding show in the hash.
+  struct Shape {
+    const char* key;
+    std::size_t batch, len, tile;
+  };
+  const Shape shapes[] = {
+      {"16x320.s128", 16, 320, 128},
+      {"3x40000.s128", 3, 40000, 128},
+      {"7x1000.s16", 7, 1000, 16},
+  };
+  for (const Shape& sh : shapes) {
+    const auto x = testing::noise_workload(sh.batch * sh.len, 41);
+    for (const bool ul1 : {false, true}) {
+      Session s(sim::MachineConfig::ascend_910b4());
+      const auto r = s.cumsum_batched(x, sh.batch, sh.len, sh.tile, ul1);
+      expect_golden(std::string("cumsum_batched.") + (ul1 ? "ul1." : "u.") +
+                        sh.key,
+                    r.report, testing::hash_values(r.values));
+    }
+  }
+}
+
+TEST(Executor, GoldenReducePartialTile) {
+  Session s(sim::MachineConfig::ascend_910b4());
+  const auto r = s.reduce(testing::noise_workload(3 * 16384 + 1234, 43));
+  expect_golden("reduce.partial_tile", r.report,
+                testing::hash_values(r.values));
+}
+
+TEST(Executor, GoldenSlotReuseLongThenShortRows) {
+  // One Session: the long rows leave non-zero data in every pooled cube
+  // slot, which the short rows' partial tiles then reuse.
+  Session s(sim::MachineConfig::ascend_910b4());
+  const auto long_rows = testing::noise_workload(4 * 20000, 47);
+  const auto short_rows = testing::noise_workload(16 * 200, 53);
+  const std::pair<const char*, bool> runs[] = {{"u", false}, {"ul1", true}};
+  for (const auto& [name, ul1] : runs) {
+    const auto r1 = s.cumsum_batched(long_rows, 4, 20000, 128, ul1);
+    const auto r2 = s.cumsum_batched(short_rows, 16, 200, 128, ul1);
+    expect_golden(std::string("slot_reuse.") + name + ".long", r1.report,
+                  testing::hash_values(r1.values));
+    expect_golden(std::string("slot_reuse.") + name + ".short", r2.report,
+                  testing::hash_values(r2.values));
+  }
+}
+
 TEST(Executor, GoldenTopPSampleBatch) {
   const std::size_t batch = 4, vocab = 512;
   std::vector<half> probs(batch * vocab);

@@ -495,5 +495,224 @@ TYPED_TEST(MmadBitExact, AllOnesAccumulateOntoPresetRowsMatchesGenericLoop) {
   });
 }
 
+// ---------------------------------------------------------------------------
+// Zero-tail extents. A partial tile is zero-filled with InitConstValue and
+// then partly loaded, so the cube slots' extents end at the live data and
+// the bytes past them hold stale garbage. Every Mmad path must still give
+// the generic loop's result on the materialized operands (live data, then
+// zeros), and Fixpipe must drain real zeros past C's extent.
+
+/// A's extents, in elements of an s x s tile.
+enum class AExtent { Empty, OneRow, PartialRow, AllButOneRow, Full, ZeroRows };
+constexpr AExtent kAExtents[] = {AExtent::Empty,        AExtent::OneRow,
+                                 AExtent::PartialRow,   AExtent::AllButOneRow,
+                                 AExtent::Full,         AExtent::ZeroRows};
+
+template <typename In>
+class ZeroTailChain {
+ public:
+  using Acc = cube_accum_t<In>;
+  static constexpr std::size_t kMaxTile = 128 * 128;
+
+  ZeroTailChain(KernelContext& c, Device& dev)
+      : ctx_(c), pipe_(c), a1_(c, TPosition::A1), b1_(c, TPosition::B1),
+        a2_(c, TPosition::A2), b2_(c, TPosition::B2), co_(c, TPosition::CO1),
+        a_gm_(dev.alloc<In>(kMaxTile)), b_gm_(dev.alloc<In>(kMaxTile)),
+        c_gm_(dev.alloc<Acc>(kMaxTile)), rng_(99) {
+    pipe_.InitBuffer(a1_, kMaxTile * sizeof(In));
+    pipe_.InitBuffer(b1_, kMaxTile * sizeof(In));
+    pipe_.InitBuffer(a2_, kMaxTile * sizeof(In));
+    pipe_.InitBuffer(b2_, kMaxTile * sizeof(In));
+    pipe_.InitBuffer(co_, kMaxTile * sizeof(Acc));
+  }
+
+  /// Runs C (+)= A @ B with A's first `a_live` and B's first `b_live`
+  /// elements live, and compares the drained C with the reference.
+  void step(const std::vector<In>& a, std::size_t a_live,
+            const std::vector<In>& b, std::size_t b_live, std::size_t s,
+            bool accumulate, const std::string& what) {
+    const std::size_t l = s * s;
+    auto A = a2_.Get<In>(), B = b2_.Get<In>();
+    auto C = co_.Get<Acc>();
+    load(a1_.Get<In>(), A, a_gm_, a, a_live, l);
+    load(b1_.Get<In>(), B, b_gm_, b, b_live, l);
+    // Pooled L0C: whatever lies past C's extent is stale.
+    stale(C.state()->base + C.state()->extent,
+          C.state()->bytes - C.state()->extent);
+    Mmad(ctx_, C, A, B, s, s, s, accumulate);
+    Fixpipe(ctx_, c_gm_.tensor(), C, l);
+
+    std::vector<In> a_mat(a.begin(), a.begin() + l), b_mat(b.begin(),
+                                                          b.begin() + l);
+    std::fill(a_mat.begin() + a_live, a_mat.end(), In(0));
+    std::fill(b_mat.begin() + b_live, b_mat.end(), In(0));
+    ref_.resize(l);
+    reference_mmad(ref_, a_mat, b_mat, s, s, s, accumulate);
+    const Acc* got = c_gm_.tensor().data();
+    if (std::memcmp(got, ref_.data(), l * sizeof(Acc)) == 0) return;
+    for (std::size_t e = 0; e < l; ++e) {
+      if (std::memcmp(got + e, ref_.data() + e, sizeof(Acc)) != 0) {
+        ADD_FAILURE() << what << ": C[" << e / s << "][" << e % s
+                      << "] = " << got[e] << ", generic loop gives "
+                      << ref_[e];
+        return;
+      }
+    }
+  }
+
+  Rng& rng() { return rng_; }
+
+ private:
+  /// Fills bytes with non-zero garbage, as a reused slot holds.
+  void stale(std::byte* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      p[i] = static_cast<std::byte>(1 + rng_.next_below(255));
+    }
+  }
+
+  /// The kernels' partial-tile sequence: stale slots, InitConstValue over
+  /// the tile, DataCopy of the live part, LoadData of the whole tile.
+  void load(const LocalTensor<In>& stage, const LocalTensor<In>& l0,
+            GlobalBuffer<In>& gm, const std::vector<In>& v, std::size_t live,
+            std::size_t l) {
+    stale(stage.state()->base, stage.state()->bytes);
+    stale(l0.state()->base, l0.state()->bytes);
+    std::copy(v.begin(), v.begin() + live, &gm[0]);
+    InitConstValue(ctx_, stage, In(0), l);
+    DataCopy(ctx_, stage, gm.tensor(), live);
+    LoadData(ctx_, l0, stage, l);
+  }
+
+  KernelContext& ctx_;
+  TPipe pipe_;
+  TBuf a1_, b1_, a2_, b2_, co_;
+  GlobalBuffer<In> a_gm_, b_gm_;
+  GlobalBuffer<Acc> c_gm_;
+  Rng rng_;
+  std::vector<Acc> ref_;
+};
+
+TYPED_TEST(MmadBitExact, ZeroTailExtentsMatchGenericLoop) {
+  using In = TypeParam;
+  Device dev(sim::MachineConfig::single_core());
+  launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+         [&](KernelContext& c) {
+    ZeroTailChain<In> chain(c, dev);
+    Rng& rng = chain.rng();
+    for (const std::size_t s : {16, 128}) {
+      const std::size_t l = s * s;
+      auto a_tile = [&](AExtent e, std::size_t& live) {
+        std::vector<In> a(l);
+        for (std::size_t i = 0; i < s; ++i) {
+          CubeValues<In>::fill_row(rng, a.data() + i * s, s,
+                                   rng.next_below(4) == 0);
+        }
+        switch (e) {
+          case AExtent::Empty: live = 0; break;
+          case AExtent::OneRow: live = s; break;
+          case AExtent::PartialRow: live = 2 * s + s / 2 + 1; break;
+          case AExtent::AllButOneRow: live = l - s; break;
+          case AExtent::Full: live = l; break;
+          case AExtent::ZeroRows:
+            // Live rows past row 1 hold explicit ±0 padding.
+            live = l;
+            for (std::size_t k = 2 * s; k < l; ++k) {
+              a[k] = In(0);
+              if constexpr (std::is_same_v<In, half>) {
+                if (rng.next_below(2)) a[k] = half::from_bits(0x8000u);
+              }
+            }
+            break;
+        }
+        return a;
+      };
+      std::size_t chain_no = 0;
+      for (const BCase bc : kBCases) {
+        if (bc == BCase::UpperNegZero && !std::is_same_v<In, half>) continue;
+        // B whole, or only its first rows live (ScanUL1's C1 operand).
+        for (const std::size_t b_live : {l, s * (s / 2) + 3}) {
+          const auto b = make_b<In>(bc, s, rng);
+          // Chains of three calls (one product, two accumulations) over
+          // rotating A extents, so C's extent is shorter, equal and longer
+          // than the next A's.
+          const std::size_t first = chain_no++ % std::size(kAExtents);
+          for (std::size_t call = 0; call < 3; ++call) {
+            const AExtent e =
+                kAExtents[(first + 2 * call) % std::size(kAExtents)];
+            std::size_t a_live = 0;
+            const auto a = a_tile(e, a_live);
+            chain.step(a, a_live, b, b_live, s, call > 0,
+                       std::string(name_of(bc)) + " s=" + std::to_string(s) +
+                           " A live=" + std::to_string(a_live) +
+                           " B live=" + std::to_string(b_live) + " call " +
+                           std::to_string(call + 1));
+          }
+        }
+      }
+    }
+  });
+}
+
+TEST(ZeroTailExtent, SlotsStartFullAndFollowTheRules) {
+  Device dev(sim::MachineConfig::single_core());
+  auto out = dev.alloc<half>(512, half(7.0f));
+  launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+         [&](KernelContext& c) {
+    TPipe pipe(c);
+    TBuf a1(c, TPosition::A1);
+    pipe.InitBuffer(a1, 1024);
+    auto t = a1.Get<half>();
+    BufferState* st = t.state();
+    EXPECT_EQ(st->extent, 1024u);  // a launch starts with the slot live
+    std::fill(t.data(), t.data() + 512, half(5.0f));  // stale contents
+    InitConstValue(c, t.sub(0, 128), half(0.0f), 128);  // inside live bytes
+    EXPECT_EQ(st->extent, 1024u);
+    EXPECT_EQ(float(t[5]), 0.0f);
+    EXPECT_EQ(float(t[200]), 5.0f);
+    InitConstValue(c, t, half(0.0f), 512);  // reaches the extent
+    EXPECT_EQ(st->extent, 0u);
+    std::fill(t.data(), t.data() + 512, half(5.0f));  // stale past it
+    SetValue(c, t, 9, half(3.0f));  // the gap before it reads as zero
+    EXPECT_EQ(st->extent, 20u);
+    EXPECT_EQ(float(t[4]), 0.0f);
+    DataCopy(c, out.tensor(), t, 512);  // real zeros past the extent
+    for (std::size_t i = 0; i < 512; ++i) {
+      EXPECT_EQ(float(out[i]), i == 9 ? 3.0f : 0.0f) << i;
+    }
+    EXPECT_EQ(float(GetValue(c, t, 300)), 0.0f);  // past: reads as zero
+    EXPECT_EQ(st->extent, 602u);
+    InitConstValue(c, t, half(1.0f), 512);  // a non-zero fill is a write
+    EXPECT_EQ(st->extent, 1024u);
+
+    // A copy of a short source into a sub-view past the extent: the gap
+    // before it reads as zero, the copied extent ends the live bytes.
+    TBuf a2(c, TPosition::A2);
+    pipe.InitBuffer(a2, 1024);
+    auto d = a2.Get<half>();
+    InitConstValue(c, d, half(0.0f), 512);
+    std::fill(d.data(), d.data() + 512, half(5.0f));
+    InitConstValue(c, t, half(0.0f), 512);
+    SetValue(c, t, 1, half(2.0f));
+    LoadData(c, d.sub(64, 128), t, 128);
+    EXPECT_EQ(d.state()->extent, 132u);
+    EXPECT_EQ(float(d[0]), 0.0f);
+    EXPECT_EQ(float(d[65]), 2.0f);
+
+    // FixpipeLocal hands a short C's extent on to L1 (ScanUL1's C1).
+    TBuf co(c, TPosition::CO1);
+    pipe.InitBuffer(co, 1024);
+    auto acc = co.Get<float>();
+    InitConstValue(c, acc, 0.0f, 256);
+    SetValue(c, acc, 0, 1.5f);
+    std::fill(t.data(), t.data() + 512, half(5.0f));
+    FixpipeLocal(c, t, acc, 256);
+    EXPECT_EQ(st->extent, 2u);
+    DataCopy(c, out.tensor(), t, 256);
+    EXPECT_EQ(float(out[0]), 1.5f);
+    EXPECT_EQ(float(out[1]), 0.0f);
+    EXPECT_EQ(float(out[255]), 0.0f);
+  });
+}
+
 }  // namespace
 }  // namespace ascend::acc
