@@ -32,7 +32,7 @@ sim::Report mcscan_no_recompute(Device& dev, GlobalTensor<half> x,
   const std::size_t vtiles = num_tiles(n, kVecChunk);
   const std::size_t tiles = num_tiles(n, l);
 
-  auto upper = dev.upload(make_upper_ones<half>(s));
+  auto upper = dev.constant<half>(ConstKind::UpperOnes, s);
   auto u_gm = upper.tensor();
   auto r_buf = dev.alloc<float>(static_cast<std::size_t>(blocks * vpc), 0.0f);
   auto r_gm = r_buf.tensor();

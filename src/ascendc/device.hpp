@@ -2,8 +2,10 @@
 // model, global-memory buffers, and accumulates per-operator reports.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "ascendc/gm_space.hpp"
@@ -96,6 +98,66 @@ class GlobalBuffer {
   std::size_t vbytes_ = 0;    ///< bytes vaddr_ was acquired for
 };
 
+/// The constant matrices of the scan kernels (§4), s x s and row-major.
+enum class ConstKind : std::uint8_t {
+  UpperOnes,        ///< U_s: ones on and above the diagonal
+  StrictLowerOnes,  ///< L_s^-: ones strictly below the diagonal
+  AllOnes,          ///< 1_s
+};
+
+/// One immutable constant matrix. A Device builds each (kind, dtype, s)
+/// once; kernels stage it into L1/L0 by reference (BufferState::ref), so its
+/// bytes are never copied on the device side.
+struct ConstMatrix {
+  ConstKind kind;
+  DType dtype;
+  std::size_t s;
+  std::vector<std::byte> bytes;
+
+  template <typename T>
+  const T* data() const {
+    ASCAN_ASSERT(dtype == dtype_of_v<T>);
+    return reinterpret_cast<const T*>(bytes.data());
+  }
+};
+
+/// Builds the host bytes of a constant matrix.
+template <typename T>
+ConstMatrix make_const_matrix(ConstKind kind, std::size_t s) {
+  ConstMatrix m{kind, dtype_of_v<T>, s,
+                std::vector<std::byte>(s * s * sizeof(T))};
+  T* v = reinterpret_cast<T*>(m.bytes.data());
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t j = 0; j < s; ++j) {
+      const bool one = kind == ConstKind::AllOnes ||
+                       (kind == ConstKind::UpperOnes ? j >= i : j < i);
+      v[i * s + j] = one ? T(1) : T(0);
+    }
+  }
+  return m;
+}
+
+/// A launch's GM view of a Device constant. The view acquires its own
+/// virtual GM address when made and releases it when destroyed, exactly
+/// as an upload of the same bytes would, so the L2 model sees the address
+/// stream of a per-launch upload while no host bytes are built or copied.
+template <typename T>
+class ConstBuffer {
+ public:
+  explicit ConstBuffer(const ConstMatrix& m)
+      : m_(&m), vaddr_(gm_space::acquire(m.bytes.size())) {}
+  ~ConstBuffer() { gm_space::release(vaddr_, m_->bytes.size()); }
+  ConstBuffer(const ConstBuffer&) = delete;
+  ConstBuffer& operator=(const ConstBuffer&) = delete;
+
+  /// Read-only: kernels stage it, never write it.
+  GlobalTensor<T> tensor() const;
+
+ private:
+  const ConstMatrix* m_;
+  std::uint64_t vaddr_;
+};
+
 class Device {
  public:
   // Special members live in engine.cpp: the engine_ unique_ptr needs the
@@ -141,6 +203,24 @@ class Device {
     return GlobalBuffer<T>(std::move(host));
   }
 
+  /// The constant `kind` for element type T and tile edge s, built on first
+  /// use and kept for the Device's lifetime.
+  template <typename T>
+  const ConstMatrix& const_matrix(ConstKind kind, std::size_t s) {
+    std::lock_guard<std::mutex> lk(consts_->mu);
+    for (const auto& m : consts_->all) {
+      if (m->kind == kind && m->dtype == dtype_of_v<T> && m->s == s) return *m;
+    }
+    consts_->all.push_back(
+        std::make_unique<ConstMatrix>(make_const_matrix<T>(kind, s)));
+    return *consts_->all.back();
+  }
+  /// A launch's GM view of that constant (see ConstBuffer).
+  template <typename T>
+  ConstBuffer<T> constant(ConstKind kind, std::size_t s) {
+    return ConstBuffer<T>(const_matrix<T>(kind, s));
+  }
+
   /// Cost of a host-side synchronisation + read-back of device results
   /// between launches (used by host-driven algorithms such as the
   /// quickselect top-k). Returns a report fragment to aggregate.
@@ -155,6 +235,11 @@ class Device {
   sim::L2Cache l2_;
   std::shared_ptr<sim::FaultInjector> injector_;
   std::unique_ptr<LaunchEngine> engine_;  ///< lazy; travels on move
+  struct ConstCache {
+    std::mutex mu;
+    std::vector<std::unique_ptr<ConstMatrix>> all;
+  };
+  std::unique_ptr<ConstCache> consts_ = std::make_unique<ConstCache>();
   double host_sync_s_ = 8e-6;
 };
 

@@ -64,6 +64,17 @@ struct lane<half> {
 /// the generic loop's result bit for bit (see Mmad for why per data path).
 enum class MmadBKind { Generic, UpperOnes, AllOnes };
 
+/// B's structure when B is a Device constant of the right shape, known
+/// without looking at its bytes.
+inline MmadBKind mmad_b_kind(ConstKind k) {
+  switch (k) {
+    case ConstKind::UpperOnes: return MmadBKind::UpperOnes;
+    case ConstKind::AllOnes: return MmadBKind::AllOnes;
+    case ConstKind::StrictLowerOnes: return MmadBKind::Generic;
+  }
+  return MmadBKind::Generic;
+}
+
 /// Classifies B by content: an exact bit-pattern match of In(1) / In(0),
 /// so a -0.0 or any other stray element sends B down the generic path.
 template <typename In>
@@ -129,10 +140,23 @@ inline void axpy_row(float* c, float a, const float* b, std::size_t n) {
 //   local -> GM DataCopy);
 // - an intrinsic that cannot honour the extent materializes the bytes it
 //   reads or writes first (real zeros up to their end).
-// Only the functional pass sees extents: every record_* call keeps its
-// declared sizes, so traces and simulated time do not depend on them.
-// Vector intrinsics never meet a tracked slot: cube-side positions exist
-// only on the cube core.
+//
+// By-reference slots (BufferState::ref). A cube-side slot can hold one of
+// the Device's constant matrices by reference instead of in memory:
+// - a DataCopy of a whole constant into a whole slot of its size only sets
+//   the reference, and LoadData/DataCopyLocal of a whole by-reference slot
+//   into a whole slot of the same size only passes it on;
+// - Mmad reads a by-reference A or B straight from the constant's bytes and
+//   takes B's kind from the constant instead of classifying B;
+// - every other reader materializes the constant's bytes into the slot
+//   first; every other writer replaces the reference when it writes the
+//   whole slot and materializes it first when it writes part of it;
+// - InitBuffer clears the reference, as it resets the extent.
+//
+// Only the functional pass sees extents and references: every record_*
+// call keeps its declared sizes and addresses, so traces and simulated time
+// do not depend on them. Vector intrinsics never meet a tracked slot:
+// cube-side positions exist only on the cube core.
 
 inline bool tracked(const BufferState* st) {
   return st != nullptr && st->base != nullptr;
@@ -144,12 +168,67 @@ std::size_t slot_offset(const LocalTensor<T>& t) {
       reinterpret_cast<const std::byte*>(t.data()) - t.state()->base);
 }
 
+/// Whether t's first n elements are exactly its tracked slot.
+template <typename T>
+bool whole_slot(const LocalTensor<T>& t, std::size_t n) {
+  const BufferState* st = t.state();
+  return tracked(st) &&
+         reinterpret_cast<const std::byte*>(t.data()) == st->base &&
+         n * sizeof(T) == st->bytes;
+}
+
+/// The constant t's slot holds by reference when t starts at the slot, or
+/// null: its elements are then the constant's, from the first on.
+template <typename T>
+const ConstMatrix* ref_of(const LocalTensor<T>& t) {
+  const BufferState* st = t.state();
+  if (st == nullptr || st->ref == nullptr ||
+      reinterpret_cast<const std::byte*>(t.data()) != st->base) {
+    return nullptr;
+  }
+  return st->ref;
+}
+
+/// Makes the slot hold constant m (of the slot's size) by reference.
+inline void hold_ref(BufferState* st, const ConstMatrix* m) {
+  st->ref = m;
+  st->extent = st->bytes;
+#ifndef NDEBUG
+  // Poison the slot's memory, so a reader that ignores the reference fails
+  // the bit-exact tests instead of reading a copy left by chance.
+  std::memset(st->base, 0xFF, st->bytes);
+#endif
+}
+
+/// Copies a by-reference slot's constant into its memory and drops the
+/// reference.
+inline void unref(BufferState* st) {
+  if (st == nullptr || st->ref == nullptr) return;
+  std::memcpy(st->base, st->ref->bytes.data(), st->bytes);
+  st->ref = nullptr;
+}
+
+/// Before a write of t's first n elements: a write of the whole slot
+/// replaces a reference, a partial one materializes it first.
+template <typename T>
+void drop_ref(const LocalTensor<T>& t, std::size_t n) {
+  BufferState* st = t.state();
+  if (st == nullptr || st->ref == nullptr) return;
+  if (whole_slot(t, n)) {
+    st->ref = nullptr;
+  } else {
+    unref(st);
+  }
+}
+
 /// How many of t's first n elements lie before the extent; the rest read
-/// as zero.
+/// as zero. The caller reads memory, so a by-reference slot is
+/// materialized first.
 template <typename T>
 std::size_t live_elems(const LocalTensor<T>& t, std::size_t n) {
-  const BufferState* st = t.state();
+  BufferState* st = t.state();
   if (!tracked(st)) return n;
+  unref(st);
   const std::size_t off = slot_offset(t);
   if (st->extent <= off) return 0;
   return std::min(n, ceil_div(st->extent - off, sizeof(T)));
@@ -161,6 +240,7 @@ template <typename T>
 void materialize(const LocalTensor<T>& t, std::size_t n) {
   BufferState* st = t.state();
   if (!tracked(st)) return;
+  unref(st);
   const std::size_t end = slot_offset(t) + n * sizeof(T);
   if (end <= st->extent) return;
   std::memset(st->base + st->extent, 0, end - st->extent);
@@ -173,6 +253,7 @@ template <typename T>
 void note_write(const LocalTensor<T>& t, std::size_t n) {
   BufferState* st = t.state();
   if (!tracked(st) || n == 0) return;
+  drop_ref(t, n);
   const std::size_t off = slot_offset(t);
   const std::size_t end = off + n * sizeof(T);
   if (end <= st->extent) return;
@@ -192,6 +273,7 @@ void note_zero_tail_write(const LocalTensor<T>& t, std::size_t live,
                 (n - live) * sizeof(T));
     return;
   }
+  drop_ref(t, n);
   const std::size_t off = slot_offset(t);
   const std::size_t live_end = off + live * sizeof(T);
   const std::size_t end = off + n * sizeof(T);
@@ -227,8 +309,13 @@ void DataCopy(KernelContext& ctx, const LocalTensor<T>& dst,
   ASCAN_CHECK(n <= dst.size() && n <= src.size(),
               "DataCopy overflow: n=" << n << " dst=" << dst.size()
                                       << " src=" << src.size());
-  detail::note_write(dst, n);
-  std::memcpy(dst.data(), src.data(), n * sizeof(T));
+  if (src.constant() != nullptr && n == src.size() &&
+      detail::whole_slot(dst, n)) {
+    detail::hold_ref(dst.state(), src.constant());
+  } else {
+    detail::note_write(dst, n);
+    std::memcpy(dst.data(), src.data(), n * sizeof(T));
+  }
   ctx.record_transfer(sim::EngineKind::Mte2, n * sizeof(T), src.gm_addr(),
                       /*gm_write=*/false, "datacopy.in", nullptr, dst.state());
 }
@@ -252,9 +339,14 @@ template <typename T>
 void DataCopyLocal(KernelContext& ctx, const LocalTensor<T>& dst,
                    const LocalTensor<T>& src, std::size_t n) {
   ASCAN_CHECK(n <= dst.size() && n <= src.size(), "DataCopyLocal overflow");
-  const std::size_t live = detail::live_elems(src, n);
-  detail::note_zero_tail_write(dst, live, n);
-  std::memcpy(dst.data(), src.data(), live * sizeof(T));
+  if (detail::whole_slot(src, n) && src.state()->ref != nullptr &&
+      detail::whole_slot(dst, n)) {
+    detail::hold_ref(dst.state(), src.state()->ref);
+  } else {
+    const std::size_t live = detail::live_elems(src, n);
+    detail::note_zero_tail_write(dst, live, n);
+    std::memcpy(dst.data(), src.data(), live * sizeof(T));
+  }
   ctx.record_compute(sim::EngineKind::Mte1,
                      detail::local_copy_cycles(ctx.cfg(), n * sizeof(T)),
                      "datacopy.local", {src.state()}, {dst.state()});
@@ -343,10 +435,15 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
   // last row, all of B (a zero B row is not skippable: -0.0 + 0 and
   // inf * 0 differ from leaving C alone) and the C rows an accumulating
   // call adds to become real first. A fresh C is zero past the live rows.
-  const std::size_t rows =
-      K == 0 ? 0 : std::min(M, ceil_div(detail::live_elems(a, M * K), K));
-  detail::materialize(a, rows * K);
-  detail::materialize(b, K * N);
+  // A by-reference A or B is read straight from its constant, whole.
+  const ConstMatrix* a_ref = detail::ref_of(a);
+  const ConstMatrix* b_ref = detail::ref_of(b);
+  std::size_t rows = M;
+  if (a_ref == nullptr) {
+    rows = K == 0 ? 0 : std::min(M, ceil_div(detail::live_elems(a, M * K), K));
+    detail::materialize(a, rows * K);
+  }
+  if (b_ref == nullptr) detail::materialize(b, K * N);
   if (accumulate) {
     detail::materialize(c, rows * N);
   } else {
@@ -354,10 +451,18 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
   }
 
   Acc* cd = c.data();
-  const In* ad = a.data();
-  const In* bd = b.data();
+  const In* ad = a_ref != nullptr
+                     ? reinterpret_cast<const In*>(a_ref->bytes.data())
+                     : a.data();
+  const In* bd = b_ref != nullptr
+                     ? reinterpret_cast<const In*>(b_ref->bytes.data())
+                     : b.data();
   if (!accumulate) std::fill(cd, cd + rows * N, Acc{});
-  const detail::MmadBKind bkind = detail::classify_mmad_b(bd, K, N);
+  const detail::MmadBKind bkind =
+      b_ref != nullptr && b_ref->dtype == dtype_of_v<In> && b_ref->s == K &&
+              K == N
+          ? detail::mmad_b_kind(b_ref->kind)
+          : detail::classify_mmad_b(bd, K, N);
   if constexpr (std::is_same_v<In, half>) {
     // Widen the A tile to float once (8 lanes per F16C instruction) instead
     // of converting elements inside the MAC loop; arithmetic then runs as

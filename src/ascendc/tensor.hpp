@@ -53,18 +53,25 @@ constexpr bool cube_side(TPosition p) {
 
 /// Hazard-tracking state of one physical buffer slot.
 ///
-/// A cube-side slot also carries a zero-tail extent: bytes [0, extent) of
-/// the slot hold whatever memory holds, bytes past it read as zero. Every
-/// slot starts a launch at its full size; the cube intrinsics lower and
-/// raise the extent (rules in intrinsics.hpp), so a padded tile costs host
-/// work only for its live rows. Slots with a null `base` (UB, ad-hoc
-/// views) are not tracked and always read as memory holds.
+/// A cube-side slot also carries a content descriptor, which says what the
+/// slot holds where that differs from its memory:
+/// - a zero-tail extent: bytes [0, extent) of the slot hold whatever memory
+///   holds, bytes past it read as zero, so a padded tile costs host work
+///   only for its live rows;
+/// - a reference: the slot holds a Device constant (U_s, L_s^-, 1_s) whose
+///   bytes stay in the ConstMatrix, so staging it copies nothing. The extent
+///   of a by-reference slot is its full size.
+/// Every slot starts a launch at its full size and without a reference; the
+/// cube intrinsics change both (rules in intrinsics.hpp). Slots with a null
+/// `base` (UB, ad-hoc views) are not tracked and always read as memory
+/// holds.
 struct BufferState {
   std::uint32_t last_write_op = 0;
   std::uint32_t last_read_op = 0;
   std::byte* base = nullptr;  ///< slot start, or null when untracked
   std::size_t bytes = 0;      ///< slot size
   std::size_t extent = 0;     ///< zero-tail extent in bytes, <= bytes
+  const ConstMatrix* ref = nullptr;  ///< constant held by reference, if any
 };
 
 template <typename T>
@@ -74,9 +81,12 @@ class GlobalTensor {
   /// `vaddr` is the deterministic virtual GM address of `data` (see
   /// gm_space.hpp); it defaults to the host address only for ad-hoc views
   /// not backed by a GlobalBuffer.
-  GlobalTensor(T* data, std::size_t n, std::uint64_t vaddr = 0)
+  /// `constant` marks a whole view of a Device constant (see ConstBuffer).
+  GlobalTensor(T* data, std::size_t n, std::uint64_t vaddr = 0,
+               const ConstMatrix* constant = nullptr)
       : data_(data), size_(n),
-        vaddr_(vaddr != 0 ? vaddr : reinterpret_cast<std::uint64_t>(data)) {}
+        vaddr_(vaddr != 0 ? vaddr : reinterpret_cast<std::uint64_t>(data)),
+        constant_(constant) {}
 
   void SetGlobalBuffer(T* data, std::size_t n) {
     data_ = data;
@@ -87,13 +97,17 @@ class GlobalTensor {
   T* data() const { return data_; }
   std::size_t size() const { return size_; }
   bool valid() const { return data_ != nullptr; }
+  /// The Device constant this tensor views whole, or null.
+  const ConstMatrix* constant() const { return constant_; }
 
-  /// Sub-view starting at `offset` with `n` elements.
+  /// Sub-view starting at `offset` with `n` elements. Only a whole view
+  /// keeps the constant mark.
   GlobalTensor sub(std::size_t offset, std::size_t n) const {
     ASCAN_ASSERT(offset + n <= size_, "GlobalTensor slice out of range: off="
                                           << offset << " n=" << n
                                           << " size=" << size_);
-    return GlobalTensor(data_ + offset, n, vaddr_ + offset * sizeof(T));
+    return GlobalTensor(data_ + offset, n, vaddr_ + offset * sizeof(T),
+                        offset == 0 && n == size_ ? constant_ : nullptr);
   }
   GlobalTensor operator[](std::size_t offset) const {
     return sub(offset, size_ - offset);
@@ -114,11 +128,18 @@ class GlobalTensor {
   T* data_ = nullptr;
   std::size_t size_ = 0;
   std::uint64_t vaddr_ = 0;
+  const ConstMatrix* constant_ = nullptr;
 };
 
 template <typename T>
 GlobalTensor<T> GlobalBuffer<T>::tensor() {
   return GlobalTensor<T>(data_.data(), data_.size(), vaddr_);
+}
+
+template <typename T>
+GlobalTensor<T> ConstBuffer<T>::tensor() const {
+  return GlobalTensor<T>(const_cast<T*>(m_->data<T>()), m_->s * m_->s, vaddr_,
+                         m_);
 }
 
 template <typename T>

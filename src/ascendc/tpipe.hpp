@@ -145,15 +145,15 @@ class TPipe {
   }
 
  private:
-  /// Cube-side slots start with their whole size live.
+  /// Cube-side slots start with their whole size live and no reference.
   static void track_extent(BufferState& st, TPosition pos, std::byte* data,
                            std::size_t bytes) {
     if (!cube_side(pos)) return;
     st.base = data;
     st.bytes = bytes;
     st.extent = bytes;
+    st.ref = nullptr;
   }
-
 
   KernelContext* ctx_;
 };

@@ -41,7 +41,7 @@ sim::Report batched_scan_u(Device& dev, GlobalTensor<half> x,
   const int blocks = opt.blocks > 0 ? opt.blocks : cfg.num_ai_cores;
   const int vpc = cfg.vec_per_core;
 
-  auto upper = dev.upload(make_upper_ones<half>(s));
+  auto upper = dev.constant<half>(ConstKind::UpperOnes, s);
   auto u_gm = upper.tensor();
 
   const std::size_t l = s * s;
@@ -56,6 +56,11 @@ sim::Report batched_scan_u(Device& dev, GlobalTensor<half> x,
        .outputs = {guard_output(y)}},
       [&, batch, len, s, l, row_tiles, groups, blocks, vpc](KernelContext& ctx) {
     const int b = ctx.GetBlockIdx();
+    // A vector core that owns no row skips its set-up (it records no op).
+    if (ctx.is_vector() &&
+        static_cast<std::size_t>(b * vpc + ctx.GetSubBlockIdx()) >= batch) {
+      return;
+    }
     auto& ready = ctx.shared().flags("row_tile_ready", batch * row_tiles);
 
     if (ctx.is_cube()) {
@@ -142,7 +147,7 @@ sim::Report batched_scan_ul1(Device& dev, GlobalTensor<half> x,
   const int blocks = opt.blocks > 0 ? opt.blocks : cfg.num_ai_cores;
   const int vpc = cfg.vec_per_core;
 
-  auto consts = ScanConstants<half>::make(dev, s);
+  ScanConstants<half> consts(dev, s);
   auto u_gm = consts.upper.tensor();
   auto lm_gm = consts.strict_lower.tensor();
   auto ones_gm = consts.ones.tensor();
@@ -155,6 +160,11 @@ sim::Report batched_scan_ul1(Device& dev, GlobalTensor<half> x,
             .name = "batched_scan_ul1", .outputs = {guard_output(y)}},
       [&, batch, len, s, l, row_tiles, blocks, vpc](KernelContext& ctx) {
     const int b = ctx.GetBlockIdx();
+    // A vector core that owns no row skips its set-up (it records no op).
+    if (ctx.is_vector() &&
+        static_cast<std::size_t>(b + ctx.GetSubBlockIdx() * blocks) >= batch) {
+      return;
+    }
     auto& ready = ctx.shared().flags("row_tile_ready", batch * row_tiles);
 
     if (ctx.is_cube()) {

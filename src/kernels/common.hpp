@@ -1,12 +1,9 @@
-// Shared helpers for the scan kernels: the constant matrices of §4
-// (U_s upper-triangular all-ones, L_s^- strictly-lower all-ones, 1_s
-// all-ones), tiling arithmetic, and the host-side constant pre-allocation
-// the paper's PyTorch operator performs ("statically pre-allocates an
-// upper triangular all-ones matrix U_s", §6.1).
+// Shared helpers for the scan kernels: the GM views of the constant
+// matrices of §4 (U_s upper-triangular all-ones, L_s^- strictly-lower
+// all-ones, 1_s all-ones; see acc::ConstMatrix) and tiling arithmetic.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "ascendc/ascendc.hpp"
 #include "common/check.hpp"
@@ -22,48 +19,20 @@ inline bool valid_tile_size(std::size_t s) {
   return s == 16 || s == 32 || s == 64 || s == 128;
 }
 
-/// Upper-triangular all-ones U_s (ones on the diagonal), row-major.
-template <typename T>
-std::vector<T> make_upper_ones(std::size_t s) {
-  std::vector<T> m(s * s, T(0));
-  for (std::size_t i = 0; i < s; ++i) {
-    for (std::size_t j = i; j < s; ++j) m[i * s + j] = T(1);
-  }
-  return m;
-}
-
-/// Strictly lower-triangular all-ones L_s^- (zero diagonal), row-major.
-template <typename T>
-std::vector<T> make_strict_lower_ones(std::size_t s) {
-  std::vector<T> m(s * s, T(0));
-  for (std::size_t i = 0; i < s; ++i) {
-    for (std::size_t j = 0; j < i; ++j) m[i * s + j] = T(1);
-  }
-  return m;
-}
-
-/// All-ones 1_s, row-major.
-template <typename T>
-std::vector<T> make_all_ones(std::size_t s) {
-  return std::vector<T>(s * s, T(1));
-}
-
-/// Device-resident constant matrices for a given tile size, allocated once
-/// per operator invocation (mirrors the static pre-allocation in the
-/// paper's PyTorch integration).
+/// ScanUL1's three constant matrices as one launch's GM views, acquired in
+/// member order. Their host bytes belong to the Device, which builds each
+/// once (the paper's PyTorch operator likewise "statically pre-allocates"
+/// U_s, §6.1); a launch only takes GM addresses for them.
 template <typename T>
 struct ScanConstants {
-  acc::GlobalBuffer<T> upper;        // U_s
-  acc::GlobalBuffer<T> strict_lower; // L_s^-
-  acc::GlobalBuffer<T> ones;         // 1_s
+  acc::ConstBuffer<T> upper;         // U_s
+  acc::ConstBuffer<T> strict_lower;  // L_s^-
+  acc::ConstBuffer<T> ones;          // 1_s
 
-  static ScanConstants make(acc::Device& dev, std::size_t s) {
-    ScanConstants c;
-    c.upper = dev.upload(make_upper_ones<T>(s));
-    c.strict_lower = dev.upload(make_strict_lower_ones<T>(s));
-    c.ones = dev.upload(make_all_ones<T>(s));
-    return c;
-  }
+  ScanConstants(acc::Device& dev, std::size_t s)
+      : upper(dev.constant<T>(acc::ConstKind::UpperOnes, s)),
+        strict_lower(dev.constant<T>(acc::ConstKind::StrictLowerOnes, s)),
+        ones(dev.constant<T>(acc::ConstKind::AllOnes, s)) {}
 };
 
 /// Contiguous [begin, end) element range of tile `t` among tiles of

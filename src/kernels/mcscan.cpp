@@ -45,7 +45,7 @@ sim::Report mcscan(Device& dev, GlobalTensor<In> x, GlobalTensor<Out> y,
   const int blocks = opt.blocks > 0 ? opt.blocks : cfg.num_ai_cores;
   const int vpc = cfg.vec_per_core;
 
-  auto upper = dev.upload(make_upper_ones<In>(s));
+  auto upper = dev.constant<In>(ConstKind::UpperOnes, s);
   auto u_gm = upper.tensor();
 
   const std::size_t l = s * s;

@@ -34,7 +34,7 @@ ReduceResult reduce_cube(Device& dev, GlobalTensor<half> x, std::size_t n,
       static_cast<int>(std::min<std::size_t>(
           static_cast<std::size_t>(blocks), tiles));
 
-  auto ones = dev.upload(make_all_ones<half>(s));
+  auto ones = dev.constant<half>(ConstKind::AllOnes, s);
   auto ones_gm = ones.tensor();
   // Per-block partial sums: each block drains its whole accumulator tile
   // (every entry of column j equals the row sum, so the grand total is the

@@ -17,8 +17,8 @@ sim::Report scan_u(Device& dev, GlobalTensor<half> x, GlobalTensor<half> y,
     return r;
   }
 
-  // Host-side static pre-allocation of U_s (paper §6.1).
-  auto upper = dev.upload(make_upper_ones<half>(s));
+  // U_s, built once per Device (the static pre-allocation of paper §6.1).
+  auto upper = dev.constant<half>(ConstKind::UpperOnes, s);
   auto u_gm = upper.tensor();
 
   const std::size_t l = s * s;

@@ -17,7 +17,7 @@ sim::Report scan_ul1(Device& dev, GlobalTensor<half> x, GlobalTensor<half> y,
     return r;
   }
 
-  auto consts = ScanConstants<half>::make(dev, s);
+  ScanConstants<half> consts(dev, s);
   auto u_gm = consts.upper.tensor();
   auto lm_gm = consts.strict_lower.tensor();
   auto ones_gm = consts.ones.tensor();

@@ -649,7 +649,9 @@ void Engine::run_group_stepwise(Session& session,
   try {
     switch (key.kind) {
       case OpKind::Cumsum: {
-        CumsumRows rows{.tile = key.tile, .ul1 = key.ul1};
+        CumsumRows rows;
+        rows.tile = key.tile;
+        rows.ul1 = key.ul1;
         run_steps(rows);
         break;
       }

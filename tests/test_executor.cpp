@@ -3,6 +3,7 @@
 // golden runs (tests/golden/executor.txt) for every operator family — and a
 // launch that can never finish must be reported, not hang.
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <thread>
@@ -50,8 +51,9 @@ void expect_golden(const std::string& key, const sim::Report& r,
 TEST(Executor, GoldenSharedBuffers) {
   // One device, one set of GM buffers: every launch sees fixed GM
   // addresses, so the full Report — l2_hit_bytes and fluid-model fields
-  // included — is reproducible. scan_u/scan_ul1 upload ScanConstants
-  // matrices per call at deterministic (recycled) virtual addresses.
+  // included — is reproducible. scan_u/scan_ul1 take GM views of the
+  // Device's constant matrices per call at deterministic (recycled)
+  // virtual addresses.
   const std::size_t n = 8192;
   acc::Device dev(sim::MachineConfig::ascend_910b4());
   auto x = dev.upload(testing::exact_scan_workload(n, 31));
@@ -84,6 +86,17 @@ TEST(Executor, GoldenEveryScanAlgo) {
     Session s(sim::MachineConfig::ascend_910b4());
     const auto r = s.cumsum(x);
     expect_golden("scan_algo.mcscan", r.report, testing::hash_values(r.values));
+  }
+  {  // int8 MCScan: the int8 U_s feeds the int8 closed form
+    std::vector<std::int8_t> xi(40000);
+    for (std::size_t i = 0; i < xi.size(); ++i) {
+      xi[i] = static_cast<std::int8_t>(
+          static_cast<int>((i * 2654435761u >> 7) % 255) - 127);
+    }
+    Session s(sim::MachineConfig::ascend_910b4());
+    const auto r = s.cumsum_i8(xi);
+    expect_golden("scan_algo.mcscan.int8", r.report,
+                  testing::hash_values(r.values));
   }
   const std::pair<const char*, ScanAlgo> algos[] = {
       {"scan_algo.scan_u", ScanAlgo::ScanU},
@@ -128,6 +141,16 @@ TEST(Executor, GoldenBatchedScan) {
                     r.report, testing::hash_values(r.values));
     }
   }
+}
+
+TEST(Executor, GoldenBatchedScanOneRow) {
+  // One row on 20 blocks: 19 cube blocks and 39 vector sub-cores own no
+  // row, the fixed cost of the smallest serving launch.
+  const auto x = testing::noise_workload(320, 59);
+  Session s(sim::MachineConfig::ascend_910b4());
+  const auto r = s.cumsum_batched(x, 1, 320, 128, false);
+  expect_golden("cumsum_batched.u.1x320.s128", r.report,
+                testing::hash_values(r.values));
 }
 
 TEST(Executor, GoldenReducePartialTile) {

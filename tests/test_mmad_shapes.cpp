@@ -11,10 +11,16 @@
 
 #include "ascendc/ascendc.hpp"
 #include "common/rng.hpp"
-#include "kernels/common.hpp"
 
 namespace ascend::acc {
 namespace {
+
+/// A constant matrix's elements, as a Device builds them.
+template <typename T>
+std::vector<T> const_values(ConstKind kind, std::size_t s) {
+  const ConstMatrix m = make_const_matrix<T>(kind, s);
+  return std::vector<T>(m.data<T>(), m.data<T>() + s * s);
+}
 
 template <typename F>
 void on_cube(F&& body) {
@@ -101,19 +107,19 @@ TEST(MmadShapes, ScanIdentityOnTile) {
     }
     LoadData(c, b.A, b.stage, s * s);
     // C1 = A @ 1s
-    auto ones = kernels::make_all_ones<half>(s);
+    auto ones = const_values<half>(ConstKind::AllOnes, s);
     for (std::size_t i = 0; i < s * s; ++i) b.stage[i] = ones[i];
     LoadData(c, b.B, b.stage, s * s);
     Mmad(c, b.C, b.A, b.B, s, s, s, false);
     std::vector<float> c1(s * s);
     for (std::size_t i = 0; i < s * s; ++i) c1[i] = b.C[i];
     // C2 = A @ U
-    auto upper = kernels::make_upper_ones<half>(s);
+    auto upper = const_values<half>(ConstKind::UpperOnes, s);
     for (std::size_t i = 0; i < s * s; ++i) b.stage[i] = upper[i];
     LoadData(c, b.B, b.stage, s * s);
     Mmad(c, b.C, b.A, b.B, s, s, s, false);
     // C2 += L^- @ C1 (stage C1 back through fp16, as ScanUL1 does)
-    auto lower = kernels::make_strict_lower_ones<half>(s);
+    auto lower = const_values<half>(ConstKind::StrictLowerOnes, s);
     for (std::size_t i = 0; i < s * s; ++i) b.stage[i] = lower[i];
     LoadData(c, b.A, b.stage, s * s);
     for (std::size_t i = 0; i < s * s; ++i) b.stage[i] = half(c1[i]);
@@ -148,9 +154,9 @@ TEST(MmadShapes, CostGrowsWithPaddedDimensions) {
 }
 
 TEST(ConstantMatrices, DefinitionsMatchSection4) {
-  const auto u = kernels::make_upper_ones<half>(4);
-  const auto lm = kernels::make_strict_lower_ones<half>(4);
-  const auto ones = kernels::make_all_ones<half>(4);
+  const auto u = const_values<half>(ConstKind::UpperOnes, 4);
+  const auto lm = const_values<half>(ConstKind::StrictLowerOnes, 4);
+  const auto ones = const_values<half>(ConstKind::AllOnes, 4);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
       EXPECT_EQ(float(u[i * 4 + j]), j >= i ? 1.0f : 0.0f);
@@ -292,14 +298,14 @@ std::vector<In> make_b(BCase bc, std::size_t s, Rng& rng) {
     case BCase::Upper:
     case BCase::UpperFlipped:
     case BCase::UpperNegZero:
-      b = kernels::make_upper_ones<In>(s);
+      b = const_values<In>(ConstKind::UpperOnes, s);
       break;
     case BCase::AllOnes:
     case BCase::AllOnesFlipped:
-      b = kernels::make_all_ones<In>(s);
+      b = const_values<In>(ConstKind::AllOnes, s);
       break;
     case BCase::StrictLower:
-      b = kernels::make_strict_lower_ones<In>(s);
+      b = const_values<In>(ConstKind::StrictLowerOnes, s);
       break;
     case BCase::Random:
       b.resize(s * s);
@@ -436,8 +442,8 @@ TYPED_TEST(MmadBitExact, AllOnesChainOverMixedRowsMatchesGenericLoop) {
     Rng rng(7);
     for (const std::size_t s : {16, 32, 64, 128}) {
       for (const std::size_t M : {s, s - 1, std::size_t{3}}) {
-        const auto upper = kernels::make_upper_ones<In>(s);
-        const auto ones = kernels::make_all_ones<In>(s);
+        const auto upper = const_values<In>(ConstKind::UpperOnes, s);
+        const auto ones = const_values<In>(ConstKind::AllOnes, s);
         std::vector<In> a(M * s);
         for (std::size_t call = 0; call < 4; ++call) {
           for (std::size_t i = 0; i < M; ++i) {
@@ -487,7 +493,7 @@ TYPED_TEST(MmadBitExact, AllOnesAccumulateOntoPresetRowsMatchesGenericLoop) {
           }
         }
         chain.preset_c(c0);
-        chain.step(a, kernels::make_all_ones<In>(s), M, s, true,
+        chain.step(a, const_values<In>(ConstKind::AllOnes, s), M, s, true,
                    "preset rows s=" + std::to_string(s) +
                        " M=" + std::to_string(M));
       }
@@ -653,6 +659,99 @@ TYPED_TEST(MmadBitExact, ZeroTailExtentsMatchGenericLoop) {
   });
 }
 
+// ---------------------------------------------------------------------------
+// By-reference constants. A Device constant staged GM -> L1 -> L0 is held
+// by reference and Mmad reads it straight from the ConstMatrix, taking B's
+// kind from it; the result must still be the generic loop's, byte for byte.
+
+TYPED_TEST(MmadBitExact, ConstantKindsMatchTheirClassification) {
+  using In = TypeParam;
+  for (const ConstKind k : {ConstKind::UpperOnes, ConstKind::StrictLowerOnes,
+                            ConstKind::AllOnes}) {
+    for (const std::size_t s : {16, 32, 64, 128}) {
+      const ConstMatrix m = make_const_matrix<In>(k, s);
+      EXPECT_EQ(detail::mmad_b_kind(k),
+                detail::classify_mmad_b(m.data<In>(), s, s))
+          << static_cast<int>(k) << " s=" << s;
+    }
+  }
+}
+
+TYPED_TEST(MmadBitExact, ByReferenceOperandsMatchGenericLoop) {
+  using In = TypeParam;
+  using Acc = cube_accum_t<In>;
+  constexpr ConstKind kKinds[] = {ConstKind::UpperOnes, ConstKind::AllOnes,
+                                  ConstKind::StrictLowerOnes};
+  Rng rng(31);
+  std::size_t case_no = 0;
+  for (const std::size_t s : {16, 32, 64, 128}) {
+    const std::size_t l = s * s;
+    Device dev(sim::MachineConfig::single_core());
+    auto data = dev.alloc<In>(l);
+    launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+           [&](KernelContext& c) {
+      TPipe pipe(c);
+      TBuf a1(c, TPosition::A1), b1(c, TPosition::B1), a2(c, TPosition::A2),
+          b2(c, TPosition::B2), co(c, TPosition::CO1);
+      for (TBuf* b : {&a1, &b1, &a2, &b2}) pipe.InitBuffer(*b, l * sizeof(In));
+      pipe.InitBuffer(co, l * sizeof(Acc));
+      auto A = a2.Get<In>(), B = b2.Get<In>();
+      auto C = co.Get<Acc>();
+      std::vector<Acc> ref;
+      // Stages a data tile into `l0` through L1, as the kernels do.
+      auto load_data = [&](const LocalTensor<In>& l0, const std::vector<In>& v) {
+        std::copy(v.begin(), v.end(), &data[0]);
+        DataCopy(c, a1.Get<In>(), data.tensor(), l);
+        LoadData(c, l0, a1.Get<In>(), l);
+      };
+      for (const ConstKind k : kKinds) {
+        auto konst = dev.constant<In>(k, s);
+        const auto kv = const_values<In>(k, s);
+        for (const bool const_is_a : {false, true}) {
+          for (const std::size_t M : {s, s - 1, std::size_t{3}}) {
+            const std::size_t chain_len = 2 + case_no++ % 4;
+            for (const std::size_t calls : {std::size_t{1}, chain_len}) {
+              DataCopy(c, b1.Get<In>(), konst.tensor(), l);
+              LoadData(c, const_is_a ? A : B, b1.Get<In>(), l);
+              const std::string what =
+                  std::string(const_is_a ? "A" : "B") + " = constant " +
+                  std::to_string(static_cast<int>(k)) + " s=" +
+                  std::to_string(s) + " M=" + std::to_string(M) + " calls=" +
+                  std::to_string(calls);
+              ASSERT_NE((const_is_a ? A : B).state()->ref, nullptr) << what;
+              std::vector<In> other(l, In(0));
+              for (std::size_t call = 0; call < calls; ++call) {
+                // The data operand changes per call; the constant stays.
+                if (const_is_a) {
+                  for (auto& v : other) v = CubeValues<In>::random_b(rng);
+                } else {
+                  for (std::size_t i = 0; i < M; ++i) {
+                    CubeValues<In>::fill_row(rng, other.data() + i * s, s,
+                                             rng.next_below(4) == 0);
+                  }
+                }
+                load_data(const_is_a ? B : A, other);
+                Mmad(c, C, A, B, M, s, s, call > 0);
+                ref.resize(M * s);
+                if (const_is_a) {
+                  reference_mmad(ref, kv, other, M, s, s, call > 0);
+                } else {
+                  reference_mmad(ref, other, kv, M, s, s, call > 0);
+                }
+                EXPECT_EQ(
+                    std::memcmp(C.data(), ref.data(), M * s * sizeof(Acc)), 0)
+                    << what << " call " << call + 1;
+              }
+              // Mmad read the constant in place: the reference stands.
+              EXPECT_NE((const_is_a ? A : B).state()->ref, nullptr) << what;
+            }
+          }
+        }
+      }
+    });
+  }
+}
+
 TEST(ZeroTailExtent, SlotsStartFullAndFollowTheRules) {
   Device dev(sim::MachineConfig::single_core());
   auto out = dev.alloc<half>(512, half(7.0f));
@@ -712,6 +811,268 @@ TEST(ZeroTailExtent, SlotsStartFullAndFollowTheRules) {
     EXPECT_EQ(float(out[1]), 0.0f);
     EXPECT_EQ(float(out[255]), 0.0f);
   });
+}
+
+
+// ---------------------------------------------------------------------------
+// By-reference slots, rule by rule (intrinsics.hpp). Each writer starts from
+// a freshly staged constant whose slot memory holds something else, so a
+// reader that skipped materializing would read the stale bytes.
+
+TEST(ConstantSlot, ReadersMaterializeAndWritersReplaceOrKeepTheConstant) {
+  constexpr std::size_t s = 16, l = s * s;
+  Device dev(sim::MachineConfig::single_core());
+  const ConstMatrix& um = dev.const_matrix<half>(ConstKind::UpperOnes, s);
+  const std::vector<half> uv = const_values<half>(ConstKind::UpperOnes, s);
+  auto u = dev.constant<half>(ConstKind::UpperOnes, s);
+  auto out = dev.alloc<half>(l);
+  std::vector<half> dv(l);
+  for (std::size_t i = 0; i < l; ++i) dv[i] = half(static_cast<float>(i % 13) + 2.0f);
+  auto data = dev.upload(dv);
+  launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+         [&](KernelContext& c) {
+    TPipe pipe(c);
+    TBuf b1(c, TPosition::B1), big(c, TPosition::B1), b2(c, TPosition::B2),
+        b2_big(c, TPosition::B2), co(c, TPosition::CO1);
+    pipe.InitBuffer(b1, l * sizeof(half));
+    pipe.InitBuffer(big, 2 * l * sizeof(half));
+    pipe.InitBuffer(b2, l * sizeof(half));
+    pipe.InitBuffer(b2_big, 2 * l * sizeof(half));
+    pipe.InitBuffer(co, l * sizeof(float));
+    auto t = b1.Get<half>();
+    BufferState* st = t.state();
+    EXPECT_EQ(st->ref, nullptr);  // InitBuffer: no reference
+
+    // A whole-constant copy into a whole slot of its size only sets the
+    // reference: the slot's stale memory stays (or is poisoned).
+    auto stage = [&] {
+      std::fill(t.data(), t.data() + l, half(5.0f));
+      DataCopy(c, t, u.tensor(), l);
+      EXPECT_EQ(st->ref, &um);
+      EXPECT_EQ(st->extent, st->bytes);
+      EXPECT_NE(std::memcmp(st->base, um.bytes.data(), um.bytes.size()), 0);
+#ifndef NDEBUG
+      for (std::size_t i = 0; i < st->bytes; ++i) {
+        ASSERT_EQ(st->base[i], std::byte{0xFF}) << i;
+      }
+#endif
+    };
+    // What a reader sees in t, via a local -> GM copy.
+    auto contents = [&] {
+      DataCopy(c, out.tensor(), t, l);
+      return out.host();
+    };
+    auto with = [&](std::vector<half> v, std::size_t at,
+                    const std::vector<half>& src, std::size_t n) {
+      std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n),
+                v.begin() + static_cast<std::ptrdiff_t>(at));
+      return v;
+    };
+    auto same = [](const std::vector<half>& a, const std::vector<half>& b) {
+      return std::memcmp(a.data(), b.data(), a.size() * sizeof(half)) == 0;
+    };
+
+    // Local -> GM copy: the constant's values.
+    stage();
+    EXPECT_TRUE(same(contents(), uv));
+    EXPECT_EQ(st->ref, nullptr);
+
+    // LoadData / DataCopyLocal pass a whole reference on and copy nothing;
+    // a partial or differently sized one materializes the source.
+    stage();
+    auto d = b2.Get<half>();
+    std::fill(d.data(), d.data() + l, half(5.0f));
+    LoadData(c, d, t, l);
+    EXPECT_EQ(d.state()->ref, &um);
+    EXPECT_EQ(st->ref, &um);
+    EXPECT_NE(std::memcmp(d.data(), um.bytes.data(), um.bytes.size()), 0);
+    auto db = b2_big.Get<half>();
+    LoadData(c, db, t, l);  // slot twice the constant
+    EXPECT_EQ(db.state()->ref, nullptr);
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_EQ(std::memcmp(db.data(), um.bytes.data(), um.bytes.size()), 0);
+    stage();
+    DataCopyLocal(c, d, t.sub(s, 2 * s), 2 * s);  // part of the slot
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_EQ(d.state()->ref, nullptr);
+    EXPECT_EQ(std::memcmp(d.data(), uv.data() + s, 2 * s * sizeof(half)), 0);
+
+    // A partial copy of a constant, or one into a larger slot, copies.
+    std::fill(t.data(), t.data() + l, half(5.0f));
+    DataCopy(c, t, u.tensor().sub(0, l / 2), l / 2);
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_EQ(std::memcmp(t.data(), uv.data(), l / 2 * sizeof(half)), 0);
+    auto tb = big.Get<half>();
+    DataCopy(c, tb, u.tensor(), l);
+    EXPECT_EQ(tb.state()->ref, nullptr);
+    EXPECT_EQ(std::memcmp(tb.data(), uv.data(), l * sizeof(half)), 0);
+
+    // GetValue reads the constant.
+    stage();
+    EXPECT_EQ(float(GetValue(c, t, 5)), 1.0f);      // U_s[0][5]
+    EXPECT_EQ(float(GetValue(c, t, 5 * s)), 0.0f);  // U_s[5][0]
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_TRUE(same(contents(), uv));
+
+    // SetValue keeps every other element.
+    stage();
+    SetValue(c, t, 7, half(9.0f));
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_TRUE(same(contents(), with(uv, 7, {half(9.0f)}, 1)));
+
+    // GM -> local copies of data: a partial one keeps the constant past it,
+    // a whole one replaces the reference.
+    stage();
+    DataCopy(c, t, data.tensor(), 100);
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_TRUE(same(contents(), with(uv, 0, dv, 100)));
+    stage();
+    DataCopy(c, t.sub(40, 50), data.tensor(), 50);
+    EXPECT_TRUE(same(contents(), with(uv, 40, dv, 50)));
+    stage();
+    DataCopy(c, t, data.tensor(), l);
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_TRUE(same(contents(), dv));
+
+    // DataCopy2D in keeps the stride gaps; DataCopy2D out reads the constant.
+    stage();
+    DataCopy2D(c, t, data.tensor(),
+               {.block_count = 2, .block_len = 4, .src_stride = 4,
+                .dst_stride = s});
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_TRUE(same(contents(), with(with(uv, 0, dv, 4), s,
+                                      {dv[4], dv[5], dv[6], dv[7]}, 4)));
+    stage();
+    std::fill(out.host().begin(), out.host().end(), half(7.0f));
+    DataCopy2D(c, out.tensor(), t,
+               {.block_count = 3, .block_len = s, .src_stride = s,
+                .dst_stride = s});
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_EQ(std::memcmp(out.host().data(), uv.data(), 3 * s * sizeof(half)),
+              0);
+
+    // InitConstValue: a whole zero fill replaces the reference, partial
+    // fills (zero or not) keep the constant around them.
+    stage();
+    InitConstValue(c, t, half(0.0f), l);
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_EQ(st->extent, 0u);
+    EXPECT_TRUE(same(contents(), std::vector<half>(l, half(0.0f))));
+    stage();
+    InitConstValue(c, t, half(0.0f), 32);
+    EXPECT_TRUE(same(contents(),
+                     with(uv, 0, std::vector<half>(32, half(0.0f)), 32)));
+    stage();
+    InitConstValue(c, t.sub(32, 16), half(2.0f), 16);
+    EXPECT_TRUE(same(contents(),
+                     with(uv, 32, std::vector<half>(16, half(2.0f)), 16)));
+
+    // FixpipeLocal into the slot: a partial drain keeps the constant past
+    // it, a whole one replaces the reference.
+    auto acc = co.Get<float>();
+    for (std::size_t i = 0; i < l; ++i) acc[i] = static_cast<float>(i % 5) - 2.0f;
+    std::vector<half> acc_h(l);
+    for (std::size_t i = 0; i < l; ++i) acc_h[i] = half(acc[i]);
+    stage();
+    FixpipeLocal(c, t, acc, 64);
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_TRUE(same(contents(), with(uv, 0, acc_h, 64)));
+    stage();
+    FixpipeLocal(c, t, acc, l);
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_TRUE(same(contents(), acc_h));
+  });
+}
+
+TEST(ConstantSlot, MmadReadsAStrictLowerAByReference) {
+  // ScanUL1's third product, C2 += L_s^- @ C1, with L_s^- staged by
+  // reference into L0A and C1 a data tile.
+  constexpr std::size_t s = 32, l = s * s;
+  Device dev(sim::MachineConfig::single_core());
+  auto lm = dev.constant<half>(ConstKind::StrictLowerOnes, s);
+  Rng rng(5);
+  std::vector<half> c1(l);
+  for (auto& v : c1) v = CubeValues<half>::random_b(rng);
+  std::vector<float> c0(l);
+  for (auto& v : c0) v = static_cast<float>(rng.uniform(-8.0, 8.0));
+  auto c1_gm = dev.upload(c1);
+  launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+         [&](KernelContext& c) {
+    TPipe pipe(c);
+    TBuf lm_l1(c, TPosition::B1), c1_l1(c, TPosition::B1),
+        a2(c, TPosition::A2), b2(c, TPosition::B2), co(c, TPosition::CO1);
+    for (TBuf* b : {&lm_l1, &c1_l1, &a2, &b2}) {
+      pipe.InitBuffer(*b, l * sizeof(half));
+    }
+    pipe.InitBuffer(co, l * sizeof(float));
+    auto A = a2.Get<half>(), B = b2.Get<half>();
+    auto C = co.Get<float>();
+    DataCopy(c, lm_l1.Get<half>(), lm.tensor(), l);
+    LoadData(c, A, lm_l1.Get<half>(), l);
+    DataCopy(c, c1_l1.Get<half>(), c1_gm.tensor(), l);
+    LoadData(c, B, c1_l1.Get<half>(), l);
+    std::copy(c0.begin(), c0.end(), C.data());
+    Mmad(c, C, A, B, s, s, s, /*accumulate=*/true);
+    EXPECT_NE(A.state()->ref, nullptr);  // read in place
+    std::vector<float> want = c0;
+    reference_mmad(want, const_values<half>(ConstKind::StrictLowerOnes, s), c1,
+                   s, s, s, true);
+    EXPECT_EQ(std::memcmp(C.data(), want.data(), l * sizeof(float)), 0);
+  });
+}
+
+TEST(ConstantSlot, ReferenceInOneLaunchDataTileInTheNext) {
+  // The pooled cube context hands launch k+1 the arena bytes a by-reference
+  // slot left in launch k: the new slot starts without a reference and the
+  // partial data tile it receives reads as the tile, not as the constant.
+  constexpr std::size_t s = 16, l = s * s, live = 100;
+  Device dev(sim::MachineConfig::single_core());
+  auto u = dev.constant<half>(ConstKind::UpperOnes, s);
+  Rng rng(9);
+  std::vector<half> x(l, half(0.0f));
+  for (std::size_t i = 0; i < live; ++i) x[i] = CubeValues<half>::random_b(rng);
+  auto x_gm = dev.upload(x);
+  auto y_gm = dev.alloc<float>(l);
+  std::byte* first_base = nullptr;
+  for (int k = 0; k < 2; ++k) {
+    launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+           [&](KernelContext& c) {
+      TPipe pipe(c);
+      TQue a_l1(c, TPosition::A1), a_l0(c, TPosition::A2);
+      TBuf u_l1(c, TPosition::B1), u_l0(c, TPosition::B2),
+          co(c, TPosition::CO1);
+      pipe.InitBuffer(a_l1, 1, l * sizeof(half));
+      pipe.InitBuffer(a_l0, 1, l * sizeof(half));
+      pipe.InitBuffer(u_l1, l * sizeof(half));
+      pipe.InitBuffer(u_l0, l * sizeof(half));
+      pipe.InitBuffer(co, l * sizeof(float));
+      auto stage = a_l1.AllocTensor<half>();
+      EXPECT_EQ(stage.state()->ref, nullptr) << "launch " << k;
+      EXPECT_EQ(stage.state()->extent, l * sizeof(half)) << "launch " << k;
+      if (k == 0) {  // the A slots hold U_s by reference
+        first_base = stage.state()->base;
+        std::fill(stage.data(), stage.data() + l, half(5.0f));
+        DataCopy(c, stage, u.tensor(), l);
+        auto a = a_l0.AllocTensor<half>();
+        LoadData(c, a, stage, l);
+        EXPECT_NE(a.state()->ref, nullptr);
+        return;
+      }
+      EXPECT_EQ(stage.state()->base, first_base);  // the same arena bytes
+      InitConstValue(c, stage, half(0.0f), l);
+      DataCopy(c, stage, x_gm.tensor(), live);
+      auto a = a_l0.AllocTensor<half>();
+      LoadData(c, a, stage, l);
+      DataCopy(c, u_l1.Get<half>(), u.tensor(), l);
+      LoadData(c, u_l0.Get<half>(), u_l1.Get<half>(), l);
+      Mmad(c, co.Get<float>(), a, u_l0.Get<half>(), s, s, s, false);
+      Fixpipe(c, y_gm.tensor(), co.Get<float>(), l);
+    });
+  }
+  std::vector<float> want(l);
+  reference_mmad(want, x, const_values<half>(ConstKind::UpperOnes, s), s, s, s,
+                 false);
+  EXPECT_EQ(std::memcmp(y_gm.host().data(), want.data(), l * sizeof(float)), 0);
 }
 
 }  // namespace
