@@ -59,9 +59,11 @@ struct lane<half> {
 /// Structure of an Mmad B operand. The paper's scan kernels only ever
 /// multiply data against the constant matrices U_s (upper-triangular ones:
 /// A@U is a row-wise inclusive prefix sum) and 1_s (all ones: A@1 is a
-/// row-sum broadcast), so the emulation recognises those two shapes and
-/// replaces the O(M*K*N) MAC loop with an O(M*N) recurrence that yields
-/// the generic loop's result bit for bit (see Mmad for why per data path).
+/// row-sum broadcast), so when B holds one of those by reference the
+/// emulation replaces the O(M*K*N) MAC loop with an O(M*N) recurrence that
+/// yields the generic loop's result bit for bit (see Mmad for why per data
+/// path). Any other B, including a data tile that happens to equal U_s or
+/// 1_s, takes the generic loop.
 enum class MmadBKind { Generic, UpperOnes, AllOnes };
 
 /// B's structure when B is a Device constant of the right shape, known
@@ -73,39 +75,6 @@ inline MmadBKind mmad_b_kind(ConstKind k) {
     case ConstKind::StrictLowerOnes: return MmadBKind::Generic;
   }
   return MmadBKind::Generic;
-}
-
-/// Classifies B by content: an exact bit-pattern match of In(1) / In(0),
-/// so a -0.0 or any other stray element sends B down the generic path.
-template <typename In>
-MmadBKind classify_mmad_b(const In* bd, std::size_t K, std::size_t N) {
-  if (K != N || N == 0) return MmadBKind::Generic;
-  thread_local std::vector<In> ones_row, zero_row;
-  if (ones_row.size() < N) {
-    ones_row.assign(N, In(1));
-    zero_row.assign(N, In(0));
-  }
-  // Probe one interior element to pick the candidate shape cheaply, then
-  // verify row by row with memcmp (vectorised by libc); any mismatch bails
-  // to the generic path immediately.
-  const bool maybe_upper =
-      N > 1 && std::memcmp(bd + N, zero_row.data(), sizeof(In)) == 0;  // B[1][0]
-  if (maybe_upper) {
-    for (std::size_t k = 0; k < K; ++k) {
-      const In* row = bd + k * N;
-      if (std::memcmp(row, zero_row.data(), k * sizeof(In)) != 0 ||
-          std::memcmp(row + k, ones_row.data(), (N - k) * sizeof(In)) != 0) {
-        return MmadBKind::Generic;
-      }
-    }
-    return MmadBKind::UpperOnes;
-  }
-  for (std::size_t k = 0; k < K; ++k) {
-    if (std::memcmp(bd + k * N, ones_row.data(), N * sizeof(In)) != 0) {
-      return MmadBKind::Generic;
-    }
-  }
-  return MmadBKind::AllOnes;
 }
 
 /// c[j] += a * b[j], 8 float lanes at a time. Deliberately multiply-then-add
@@ -147,7 +116,7 @@ inline void axpy_row(float* c, float a, const float* b, std::size_t n) {
 //   the reference, and LoadData/DataCopyLocal of a whole by-reference slot
 //   into a whole slot of the same size only passes it on;
 // - Mmad reads a by-reference A or B straight from the constant's bytes and
-//   takes B's kind from the constant instead of classifying B;
+//   takes B's kind from the constant; a B not held by reference is generic;
 // - every other reader materializes the constant's bytes into the slot
 //   first; every other writer replaces the reference when it writes the
 //   whole slot and materializes it first when it writes part of it;
@@ -462,7 +431,7 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
       b_ref != nullptr && b_ref->dtype == dtype_of_v<In> && b_ref->s == K &&
               K == N
           ? detail::mmad_b_kind(b_ref->kind)
-          : detail::classify_mmad_b(bd, K, N);
+          : detail::MmadBKind::Generic;
   if constexpr (std::is_same_v<In, half>) {
     // Widen the A tile to float once (8 lanes per F16C instruction) instead
     // of converting elements inside the MAC loop; arithmetic then runs as

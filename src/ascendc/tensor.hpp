@@ -92,6 +92,7 @@ class GlobalTensor {
     data_ = data;
     size_ = n;
     vaddr_ = reinterpret_cast<std::uint64_t>(data);
+    constant_ = nullptr;
   }
 
   T* data() const { return data_; }

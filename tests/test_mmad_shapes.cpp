@@ -1,11 +1,15 @@
 // Cube-layer depth tests: Mmad on non-square shapes, accumulation chains,
 // padding alignment, cost monotonicity, the constant matrices of §4, and a
 // typed bit-exactness matrix pinning every Mmad path (the closed forms for
-// U_s and 1_s as well as the generic loop) against a plain host triple loop.
+// U_s and 1_s held by reference as well as the generic loop) against a
+// plain host triple loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -196,10 +200,11 @@ TEST(MmadShapes, Int8KAlignmentIs32) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed bit-exactness matrix. Mmad picks its functional path from B's
-// content; whichever path runs, C must equal, byte for byte, the generic
-// loop's result: C[i][j] = C[i][j] + A[i][k] * B[k][j] in increasing k,
-// skipping zero A elements, multiply then add.
+// Typed bit-exactness matrix. Mmad picks its functional path from the
+// constant B holds by reference (a data B is generic); whichever path runs,
+// C must equal, byte for byte, the generic loop's result:
+// C[i][j] = C[i][j] + A[i][k] * B[k][j] in increasing k, skipping zero A
+// elements, multiply then add.
 
 template <typename T>
 class MmadBitExact : public ::testing::Test {};
@@ -291,23 +296,39 @@ struct CubeValues<std::int8_t> {
   }
 };
 
+/// An Mmad B operand: its values, and the Device constant it is staged as
+/// by reference when it is one (a data tile through GM otherwise).
 template <typename In>
-std::vector<In> make_b(BCase bc, std::size_t s, Rng& rng) {
+struct BOperand {
+  std::vector<In> values;
+  std::optional<ConstKind> constant;
+};
+
+template <typename In>
+BOperand<In> by_ref(ConstKind k, std::size_t s) {
+  return {const_values<In>(k, s), k};
+}
+
+template <typename In>
+BOperand<In> make_b(BCase bc, std::size_t s, Rng& rng) {
+  switch (bc) {
+    case BCase::Upper: return by_ref<In>(ConstKind::UpperOnes, s);
+    case BCase::AllOnes: return by_ref<In>(ConstKind::AllOnes, s);
+    case BCase::StrictLower: return by_ref<In>(ConstKind::StrictLowerOnes, s);
+    default: break;
+  }
+  // The near misses are data tiles, and so is a data tile equal to U_s or
+  // 1_s: only a constant held by reference takes a closed form.
   std::vector<In> b;
   switch (bc) {
-    case BCase::Upper:
     case BCase::UpperFlipped:
     case BCase::UpperNegZero:
       b = const_values<In>(ConstKind::UpperOnes, s);
       break;
-    case BCase::AllOnes:
     case BCase::AllOnesFlipped:
       b = const_values<In>(ConstKind::AllOnes, s);
       break;
-    case BCase::StrictLower:
-      b = const_values<In>(ConstKind::StrictLowerOnes, s);
-      break;
-    case BCase::Random:
+    default:
       b.resize(s * s);
       for (auto& v : b) v = CubeValues<In>::random_b(rng);
       break;
@@ -323,7 +344,7 @@ std::vector<In> make_b(BCase bc, std::size_t s, Rng& rng) {
       b[row * s + rng.next_below(row)] = half::from_bits(0x8000u);
     }
   }
-  return b;
+  return {std::move(b), std::nullopt};
 }
 
 /// The generic loop, written plainly on host vectors.
@@ -344,20 +365,59 @@ void reference_mmad(std::vector<Acc>& c, const std::vector<In>& a,
   }
 }
 
+/// B's L1 and L0B slots, one pair per tile edge s, each exactly one s x s
+/// tile: a Device constant fills them whole, so it is staged by reference,
+/// as in the kernels.
+template <typename In>
+class BSlots {
+ public:
+  BSlots(KernelContext& c, TPipe& pipe) : ctx_(c), pipe_(pipe) {}
+
+  LocalTensor<In> l1(std::size_t s) { return pair(s).l1.template Get<In>(); }
+  LocalTensor<In> l0(std::size_t s) { return pair(s).l0.template Get<In>(); }
+
+  /// Stages constant k into l0(s) through l1(s), by reference.
+  void stage_constant(Device& dev, ConstKind k, std::size_t s) {
+    auto konst = dev.constant<In>(k, s);
+    DataCopy(ctx_, l1(s), konst.tensor(), s * s);
+    LoadData(ctx_, l0(s), l1(s), s * s);
+    EXPECT_EQ(l0(s).state()->ref, &dev.const_matrix<In>(k, s));
+  }
+
+ private:
+  struct Pair {
+    TBuf l1, l0;
+    explicit Pair(KernelContext& c)
+        : l1(c, TPosition::B1), l0(c, TPosition::B2) {}
+  };
+  Pair& pair(std::size_t s) {
+    std::unique_ptr<Pair>& p = pairs_[s];
+    if (!p) {
+      p = std::make_unique<Pair>(ctx_);
+      pipe_.InitBuffer(p->l1, s * s * sizeof(In));
+      pipe_.InitBuffer(p->l0, s * s * sizeof(In));
+    }
+    return *p;
+  }
+
+  KernelContext& ctx_;
+  TPipe& pipe_;
+  std::map<std::size_t, std::unique_ptr<Pair>> pairs_;
+};
+
 /// One chain of Mmad calls on the cube, each checked against the reference.
-/// `b_of(call)` gives call's B; `a_row(call, i, row)` fills row i of A.
 template <typename In>
 class CubeChain {
  public:
   using Acc = cube_accum_t<In>;
   static constexpr std::size_t kMaxTile = 128 * 128;
 
-  explicit CubeChain(KernelContext& c)
-      : ctx_(c), pipe_(c), a1_(c, TPosition::A1), a2_(c, TPosition::A2),
-        b2_(c, TPosition::B2), co_(c, TPosition::CO1) {
+  CubeChain(KernelContext& c, Device& dev)
+      : ctx_(c), dev_(dev), pipe_(c), a1_(c, TPosition::A1),
+        a2_(c, TPosition::A2), co_(c, TPosition::CO1), b_(c, pipe_),
+        b_gm_(dev.alloc<In>(kMaxTile)) {
     pipe_.InitBuffer(a1_, kMaxTile * sizeof(In));
     pipe_.InitBuffer(a2_, kMaxTile * sizeof(In));
-    pipe_.InitBuffer(b2_, kMaxTile * sizeof(In));
     pipe_.InitBuffer(co_, kMaxTile * sizeof(Acc));
   }
 
@@ -368,20 +428,24 @@ class CubeChain {
   }
 
   /// Runs C (+)= A @ B for one call and compares C with the reference.
-  void step(const std::vector<In>& a, const std::vector<In>& b,
-            std::size_t M, std::size_t s, bool accumulate,
-            const std::string& what) {
+  void step(const std::vector<In>& a, const BOperand<In>& b, std::size_t M,
+            std::size_t s, bool accumulate, const std::string& what) {
     auto stage = a1_.Get<In>();
     auto A = a2_.Get<In>();
-    auto B = b2_.Get<In>();
+    auto B = b_.l0(s);
     auto C = co_.Get<Acc>();
     std::memcpy(stage.data(), a.data(), M * s * sizeof(In));
     LoadData(ctx_, A, stage, M * s);
-    std::memcpy(stage.data(), b.data(), s * s * sizeof(In));
-    LoadData(ctx_, B, stage, s * s);
+    if (b.constant) {
+      b_.stage_constant(dev_, *b.constant, s);
+    } else {
+      std::copy(b.values.begin(), b.values.end(), &b_gm_[0]);
+      DataCopy(ctx_, b_.l1(s), b_gm_.tensor(), s * s);
+      LoadData(ctx_, B, b_.l1(s), s * s);
+    }
     Mmad(ctx_, C, A, B, M, s, s, accumulate);
     ref_.resize(M * s);  // keeps a preset C's values
-    reference_mmad(ref_, a, b, M, s, s, accumulate);
+    reference_mmad(ref_, a, b.values, M, s, s, accumulate);
     if (std::memcmp(C.data(), ref_.data(), M * s * sizeof(Acc)) == 0) return;
     for (std::size_t e = 0; e < M * s; ++e) {
       if (std::memcmp(C.data() + e, ref_.data() + e, sizeof(Acc)) != 0) {
@@ -394,15 +458,20 @@ class CubeChain {
 
  private:
   KernelContext& ctx_;
+  Device& dev_;
   TPipe pipe_;
-  TBuf a1_, a2_, b2_, co_;
+  TBuf a1_, a2_, co_;
+  BSlots<In> b_;
+  GlobalBuffer<In> b_gm_;
   std::vector<Acc> ref_;
 };
 
 TYPED_TEST(MmadBitExact, EveryBCaseShapeAndChainMatchesGenericLoop) {
   using In = TypeParam;
-  on_cube([](KernelContext& c) {
-    CubeChain<In> chain(c);
+  Device dev(sim::MachineConfig::single_core());
+  launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+         [&](KernelContext& c) {
+    CubeChain<In> chain(c, dev);
     Rng rng(2025);
     std::size_t case_no = 0;
     for (const BCase bc : kBCases) {
@@ -437,13 +506,15 @@ TYPED_TEST(MmadBitExact, AllOnesChainOverMixedRowsMatchesGenericLoop) {
   // are zero past column 0) and others not, so the accumulating 1_s calls
   // after it meet both kinds of row.
   using In = TypeParam;
-  on_cube([](KernelContext& c) {
-    CubeChain<In> chain(c);
+  Device dev(sim::MachineConfig::single_core());
+  launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+         [&](KernelContext& c) {
+    CubeChain<In> chain(c, dev);
     Rng rng(7);
     for (const std::size_t s : {16, 32, 64, 128}) {
       for (const std::size_t M : {s, s - 1, std::size_t{3}}) {
-        const auto upper = const_values<In>(ConstKind::UpperOnes, s);
-        const auto ones = const_values<In>(ConstKind::AllOnes, s);
+        const auto upper = by_ref<In>(ConstKind::UpperOnes, s);
+        const auto ones = by_ref<In>(ConstKind::AllOnes, s);
         std::vector<In> a(M * s);
         for (std::size_t call = 0; call < 4; ++call) {
           for (std::size_t i = 0; i < M; ++i) {
@@ -467,8 +538,10 @@ TYPED_TEST(MmadBitExact, AllOnesAccumulateOntoPresetRowsMatchesGenericLoop) {
   // that differ in one column.
   using In = TypeParam;
   using Acc = cube_accum_t<In>;
-  on_cube([](KernelContext& c) {
-    CubeChain<In> chain(c);
+  Device dev(sim::MachineConfig::single_core());
+  launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+         [&](KernelContext& c) {
+    CubeChain<In> chain(c, dev);
     Rng rng(11);
     for (const std::size_t s : {16, 32, 64, 128}) {
       for (const std::size_t M : {s, s - 1, std::size_t{3}}) {
@@ -493,7 +566,7 @@ TYPED_TEST(MmadBitExact, AllOnesAccumulateOntoPresetRowsMatchesGenericLoop) {
           }
         }
         chain.preset_c(c0);
-        chain.step(a, const_values<In>(ConstKind::AllOnes, s), M, s, true,
+        chain.step(a, by_ref<In>(ConstKind::AllOnes, s), M, s, true,
                    "preset rows s=" + std::to_string(s) +
                        " M=" + std::to_string(M));
       }
@@ -521,35 +594,40 @@ class ZeroTailChain {
   static constexpr std::size_t kMaxTile = 128 * 128;
 
   ZeroTailChain(KernelContext& c, Device& dev)
-      : ctx_(c), pipe_(c), a1_(c, TPosition::A1), b1_(c, TPosition::B1),
-        a2_(c, TPosition::A2), b2_(c, TPosition::B2), co_(c, TPosition::CO1),
+      : ctx_(c), dev_(dev), pipe_(c), a1_(c, TPosition::A1),
+        a2_(c, TPosition::A2), co_(c, TPosition::CO1), b_(c, pipe_),
         a_gm_(dev.alloc<In>(kMaxTile)), b_gm_(dev.alloc<In>(kMaxTile)),
         c_gm_(dev.alloc<Acc>(kMaxTile)), rng_(99) {
     pipe_.InitBuffer(a1_, kMaxTile * sizeof(In));
-    pipe_.InitBuffer(b1_, kMaxTile * sizeof(In));
     pipe_.InitBuffer(a2_, kMaxTile * sizeof(In));
-    pipe_.InitBuffer(b2_, kMaxTile * sizeof(In));
     pipe_.InitBuffer(co_, kMaxTile * sizeof(Acc));
   }
 
   /// Runs C (+)= A @ B with A's first `a_live` and B's first `b_live`
-  /// elements live, and compares the drained C with the reference.
+  /// elements live, and compares the drained C with the reference. A
+  /// whole constant B is staged by reference over stale slot bytes.
   void step(const std::vector<In>& a, std::size_t a_live,
-            const std::vector<In>& b, std::size_t b_live, std::size_t s,
+            const BOperand<In>& b, std::size_t b_live, std::size_t s,
             bool accumulate, const std::string& what) {
     const std::size_t l = s * s;
-    auto A = a2_.Get<In>(), B = b2_.Get<In>();
+    auto A = a2_.Get<In>(), B = b_.l0(s);
     auto C = co_.Get<Acc>();
     load(a1_.Get<In>(), A, a_gm_, a, a_live, l);
-    load(b1_.Get<In>(), B, b_gm_, b, b_live, l);
+    if (b.constant && b_live == l) {
+      stale(b_.l1(s).state()->base, b_.l1(s).state()->bytes);
+      stale(B.state()->base, B.state()->bytes);
+      b_.stage_constant(dev_, *b.constant, s);
+    } else {
+      load(b_.l1(s), B, b_gm_, b.values, b_live, l);
+    }
     // Pooled L0C: whatever lies past C's extent is stale.
     stale(C.state()->base + C.state()->extent,
           C.state()->bytes - C.state()->extent);
     Mmad(ctx_, C, A, B, s, s, s, accumulate);
     Fixpipe(ctx_, c_gm_.tensor(), C, l);
 
-    std::vector<In> a_mat(a.begin(), a.begin() + l), b_mat(b.begin(),
-                                                          b.begin() + l);
+    std::vector<In> a_mat(a.begin(), a.begin() + l),
+        b_mat(b.values.begin(), b.values.begin() + l);
     std::fill(a_mat.begin() + a_live, a_mat.end(), In(0));
     std::fill(b_mat.begin() + b_live, b_mat.end(), In(0));
     ref_.resize(l);
@@ -590,8 +668,10 @@ class ZeroTailChain {
   }
 
   KernelContext& ctx_;
+  Device& dev_;
   TPipe pipe_;
-  TBuf a1_, b1_, a2_, b2_, co_;
+  TBuf a1_, a2_, co_;
+  BSlots<In> b_;
   GlobalBuffer<In> a_gm_, b_gm_;
   GlobalBuffer<Acc> c_gm_;
   Rng rng_;
@@ -660,28 +740,13 @@ TYPED_TEST(MmadBitExact, ZeroTailExtentsMatchGenericLoop) {
 }
 
 // ---------------------------------------------------------------------------
-// By-reference constants. A Device constant staged GM -> L1 -> L0 is held
-// by reference and Mmad reads it straight from the ConstMatrix, taking B's
-// kind from it; the result must still be the generic loop's, byte for byte.
+// A constant held by reference as Mmad's A (ScanUL1's C2 += L_s^- @ C1):
+// Mmad reads it straight from the ConstMatrix, and the result must still be
+// the generic loop's, byte for byte. The chains above cover constants as B.
 
-TYPED_TEST(MmadBitExact, ConstantKindsMatchTheirClassification) {
-  using In = TypeParam;
-  for (const ConstKind k : {ConstKind::UpperOnes, ConstKind::StrictLowerOnes,
-                            ConstKind::AllOnes}) {
-    for (const std::size_t s : {16, 32, 64, 128}) {
-      const ConstMatrix m = make_const_matrix<In>(k, s);
-      EXPECT_EQ(detail::mmad_b_kind(k),
-                detail::classify_mmad_b(m.data<In>(), s, s))
-          << static_cast<int>(k) << " s=" << s;
-    }
-  }
-}
-
-TYPED_TEST(MmadBitExact, ByReferenceOperandsMatchGenericLoop) {
+TYPED_TEST(MmadBitExact, ByReferenceAOperandsMatchGenericLoop) {
   using In = TypeParam;
   using Acc = cube_accum_t<In>;
-  constexpr ConstKind kKinds[] = {ConstKind::UpperOnes, ConstKind::AllOnes,
-                                  ConstKind::StrictLowerOnes};
   Rng rng(31);
   std::size_t case_no = 0;
   for (const std::size_t s : {16, 32, 64, 128}) {
@@ -698,53 +763,37 @@ TYPED_TEST(MmadBitExact, ByReferenceOperandsMatchGenericLoop) {
       auto A = a2.Get<In>(), B = b2.Get<In>();
       auto C = co.Get<Acc>();
       std::vector<Acc> ref;
-      // Stages a data tile into `l0` through L1, as the kernels do.
-      auto load_data = [&](const LocalTensor<In>& l0, const std::vector<In>& v) {
-        std::copy(v.begin(), v.end(), &data[0]);
-        DataCopy(c, a1.Get<In>(), data.tensor(), l);
-        LoadData(c, l0, a1.Get<In>(), l);
-      };
-      for (const ConstKind k : kKinds) {
+      for (const ConstKind k : {ConstKind::UpperOnes, ConstKind::AllOnes,
+                                ConstKind::StrictLowerOnes}) {
         auto konst = dev.constant<In>(k, s);
         const auto kv = const_values<In>(k, s);
-        for (const bool const_is_a : {false, true}) {
-          for (const std::size_t M : {s, s - 1, std::size_t{3}}) {
-            const std::size_t chain_len = 2 + case_no++ % 4;
-            for (const std::size_t calls : {std::size_t{1}, chain_len}) {
-              DataCopy(c, b1.Get<In>(), konst.tensor(), l);
-              LoadData(c, const_is_a ? A : B, b1.Get<In>(), l);
-              const std::string what =
-                  std::string(const_is_a ? "A" : "B") + " = constant " +
-                  std::to_string(static_cast<int>(k)) + " s=" +
-                  std::to_string(s) + " M=" + std::to_string(M) + " calls=" +
-                  std::to_string(calls);
-              ASSERT_NE((const_is_a ? A : B).state()->ref, nullptr) << what;
-              std::vector<In> other(l, In(0));
-              for (std::size_t call = 0; call < calls; ++call) {
-                // The data operand changes per call; the constant stays.
-                if (const_is_a) {
-                  for (auto& v : other) v = CubeValues<In>::random_b(rng);
-                } else {
-                  for (std::size_t i = 0; i < M; ++i) {
-                    CubeValues<In>::fill_row(rng, other.data() + i * s, s,
-                                             rng.next_below(4) == 0);
-                  }
-                }
-                load_data(const_is_a ? B : A, other);
-                Mmad(c, C, A, B, M, s, s, call > 0);
-                ref.resize(M * s);
-                if (const_is_a) {
-                  reference_mmad(ref, kv, other, M, s, s, call > 0);
-                } else {
-                  reference_mmad(ref, other, kv, M, s, s, call > 0);
-                }
-                EXPECT_EQ(
-                    std::memcmp(C.data(), ref.data(), M * s * sizeof(Acc)), 0)
-                    << what << " call " << call + 1;
-              }
-              // Mmad read the constant in place: the reference stands.
-              EXPECT_NE((const_is_a ? A : B).state()->ref, nullptr) << what;
+        for (const std::size_t M : {s, s - 1, std::size_t{3}}) {
+          const std::size_t chain_len = 2 + case_no++ % 4;
+          for (const std::size_t calls : {std::size_t{1}, chain_len}) {
+            DataCopy(c, a1.Get<In>(), konst.tensor(), l);
+            LoadData(c, A, a1.Get<In>(), l);
+            const std::string what = "A = constant " +
+                                     std::to_string(static_cast<int>(k)) +
+                                     " s=" + std::to_string(s) + " M=" +
+                                     std::to_string(M) + " calls=" +
+                                     std::to_string(calls);
+            ASSERT_NE(A.state()->ref, nullptr) << what;
+            std::vector<In> b(l);
+            for (std::size_t call = 0; call < calls; ++call) {
+              // B is a data tile that changes per call; A stays.
+              for (auto& v : b) v = CubeValues<In>::random_b(rng);
+              std::copy(b.begin(), b.end(), &data[0]);
+              DataCopy(c, b1.Get<In>(), data.tensor(), l);
+              LoadData(c, B, b1.Get<In>(), l);
+              Mmad(c, C, A, B, M, s, s, call > 0);
+              ref.resize(M * s);
+              reference_mmad(ref, kv, b, M, s, s, call > 0);
+              EXPECT_EQ(
+                  std::memcmp(C.data(), ref.data(), M * s * sizeof(Acc)), 0)
+                  << what << " call " << call + 1;
             }
+            // Mmad read the constant in place: the reference stands.
+            EXPECT_NE(A.state()->ref, nullptr) << what;
           }
         }
       }
@@ -906,6 +955,15 @@ TEST(ConstantSlot, ReadersMaterializeAndWritersReplaceOrKeepTheConstant) {
     DataCopy(c, tb, u.tensor(), l);
     EXPECT_EQ(tb.state()->ref, nullptr);
     EXPECT_EQ(std::memcmp(tb.data(), uv.data(), l * sizeof(half)), 0);
+
+    // A constant's view re-pointed at other data loses the mark: a whole
+    // copy from it copies the new bytes.
+    auto repointed = u.tensor();
+    repointed.SetGlobalBuffer(data.tensor().data(), l);
+    EXPECT_EQ(repointed.constant(), nullptr);
+    DataCopy(c, t, repointed, l);
+    EXPECT_EQ(st->ref, nullptr);
+    EXPECT_TRUE(same(contents(), dv));
 
     // GetValue reads the constant.
     stage();
