@@ -211,9 +211,9 @@ CapacityResult finish_capacity(std::string name, DriveResult d) {
   out.verify = d.verify;
   const auto& rs = d.responses;
   out.devices = device_sim(rs);
-  for (const auto& [dev, d] : out.devices) {
-    out.completed += d.served;
-    out.busiest_sim_s = std::max(out.busiest_sim_s, d.busy_s);
+  for (const auto& [dev, load] : out.devices) {
+    out.completed += load.served;
+    out.busiest_sim_s = std::max(out.busiest_sim_s, load.busy_s);
   }
   out.wall_rps =
       d.wall_s > 0 ? static_cast<double>(out.completed) / d.wall_s : 0;

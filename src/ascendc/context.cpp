@@ -36,11 +36,18 @@ void SimpleBarrier::poison() {
   sim::fiber_progress();
 }
 
+void SimpleBarrier::reset(int count) {
+  threshold_ = count;
+  waiting_.store(0, std::memory_order_relaxed);
+  generation_.store(0, std::memory_order_relaxed);
+  poisoned_.store(false, std::memory_order_relaxed);
+}
+
 // ---------------------------------------------------------------------------
 // CrossFlags
 
 void CrossFlags::set(KernelContext& ctx, std::size_t i) {
-  ASCAN_ASSERT(i < setter_.size(), "flag index out of range");
+  ASCAN_ASSERT(i < size_, "flag index out of range");
   // The set rides on the producer's MTE3 queue so it orders after the GM
   // write it publishes (hardware: flag written through GM/L2); the waiter
   // observes it one GM latency later.
@@ -56,7 +63,7 @@ void CrossFlags::set(KernelContext& ctx, std::size_t i) {
 }
 
 void CrossFlags::wait(KernelContext& ctx, std::size_t i) {
-  ASCAN_ASSERT(i < setter_.size(), "flag index out of range");
+  ASCAN_ASSERT(i < size_, "flag index out of range");
   std::uint32_t setter_id = 0;
   sim::fiber_wait_until([&] {
     setter_id = setter_[i].load(std::memory_order_acquire);
@@ -81,24 +88,48 @@ void CrossFlags::poison() {
   sim::fiber_progress();
 }
 
+void CrossFlags::rearm(std::string_view name, std::size_t n) {
+  name_.assign(name);
+  if (n > capacity_) {
+    setter_ = std::make_unique<std::atomic<std::uint32_t>[]>(n);
+    capacity_ = n;
+  }
+  size_ = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    setter_[i].store(0, std::memory_order_relaxed);
+  }
+  poisoned_.store(false, std::memory_order_relaxed);
+}
+
 // ---------------------------------------------------------------------------
 // LaunchShared
 
-CrossFlags& LaunchShared::flags(const std::string& name, std::size_t n) {
+void LaunchShared::reset(int num_subcores) {
+  barrier_.reset(num_subcores);
+  op_ids_.store(1, std::memory_order_relaxed);
+  flags_used_ = 0;
+}
+
+CrossFlags& LaunchShared::flags(std::string_view name, std::size_t n) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    it = flags_.emplace(name, std::make_unique<CrossFlags>(n)).first;
+  for (std::size_t i = 0; i < flags_used_; ++i) {
+    CrossFlags& f = *flags_[i];
+    if (f.name_ != name) continue;
+    ASCAN_ASSERT(f.size() == n, "flag array '" << name << "' size mismatch");
+    return f;
   }
-  ASCAN_ASSERT(it->second->size() == n,
-               "flag array '" << name << "' size mismatch");
-  return *it->second;
+  if (flags_used_ == flags_.size()) {
+    flags_.push_back(std::make_unique<CrossFlags>());
+  }
+  CrossFlags& f = *flags_[flags_used_++];
+  f.rearm(name, n);
+  return f;
 }
 
 void LaunchShared::poison() {
   barrier_.poison();
   std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [name, f] : flags_) f->poison();
+  for (std::size_t i = 0; i < flags_used_; ++i) flags_[i]->poison();
 }
 
 // ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ascendc/tensor.hpp"
@@ -34,9 +34,12 @@ class SimpleBarrier {
 
   void arrive_and_wait();
   void poison();
+  /// Re-arms the barrier for `count` participants, unpoisoned. Only
+  /// between launches.
+  void reset(int count);
 
  private:
-  const int threshold_;
+  int threshold_;
   std::atomic<int> waiting_{0};
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<bool> poisoned_{false};
@@ -47,43 +50,53 @@ class SimpleBarrier {
 /// sub-core's fiber until then and records a dependency edge on that op.
 class CrossFlags {
  public:
-  explicit CrossFlags(std::size_t n) : setter_(n) {
-    for (auto& s : setter_) s.store(0, std::memory_order_relaxed);
-  }
-
   void set(KernelContext& ctx, std::size_t i);
   void wait(KernelContext& ctx, std::size_t i);
 
-  std::size_t size() const { return setter_.size(); }
+  std::size_t size() const { return size_; }
   void poison();
 
  private:
-  std::vector<std::atomic<std::uint32_t>> setter_;
+  friend class LaunchShared;
+  /// Re-arms the array as `name` with `n` unset flags, keeping its storage
+  /// when it is large enough.
+  void rearm(std::string_view name, std::size_t n);
+
+  std::string name_;
+  std::unique_ptr<std::atomic<std::uint32_t>[]> setter_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
   std::atomic<bool> poisoned_{false};
 };
 
-/// State shared by all sub-cores of one launch.
+/// State shared by all sub-cores of one launch. One instance per device
+/// serves every launch: reset() re-arms it, and flag arrays keep their
+/// storage from one launch to the next.
 class LaunchShared {
  public:
-  LaunchShared(int num_subcores)
-      : num_subcores_(num_subcores), barrier_(num_subcores), op_ids_(1) {}
+  LaunchShared() = default;
+
+  /// Re-arms the state for a launch of `num_subcores` sub-cores: barrier
+  /// unpoisoned, op ids from 1, no flag arrays. Only between launches.
+  void reset(int num_subcores);
 
   SimpleBarrier& barrier() { return barrier_; }
   std::atomic<std::uint32_t>& op_ids() { return op_ids_; }
 
-  /// Named flag arrays, created on first use (all sub-cores must agree on
-  /// the size).
-  CrossFlags& flags(const std::string& name, std::size_t n);
+  /// Named flag arrays, created on first use in a launch (all sub-cores
+  /// must agree on the size).
+  CrossFlags& flags(std::string_view name, std::size_t n);
 
   void poison();
-  int num_subcores() const { return num_subcores_; }
 
  private:
-  int num_subcores_;
-  SimpleBarrier barrier_;
-  std::atomic<std::uint32_t> op_ids_;
+  SimpleBarrier barrier_{0};
+  std::atomic<std::uint32_t> op_ids_{1};
   std::mutex mu_;
-  std::map<std::string, std::unique_ptr<CrossFlags>> flags_;
+  /// The first flags_used_ arrays are this launch's; the rest are storage
+  /// that earlier launches used.
+  std::vector<std::unique_ptr<CrossFlags>> flags_;
+  std::size_t flags_used_ = 0;
 };
 
 enum class SubcoreKind : std::uint8_t { Cube, Vector };

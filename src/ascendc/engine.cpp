@@ -7,70 +7,90 @@
 
 namespace ascend::acc {
 
-LaunchEngine::LaunchEngine(const sim::MachineConfig& cfg) : cfg_(cfg) {}
+LaunchEngine::LaunchEngine(const sim::MachineConfig& cfg) : cfg_(cfg) {
+  // Sized up front, so a plan reference stays valid for the engine's life.
+  for (auto& by_dim : plans_) {
+    by_dim.resize(static_cast<std::size_t>(
+        std::max(cfg_.num_ai_cores, cfg_.num_vec_cores()) + 1));
+  }
+}
 
 LaunchEngine::~LaunchEngine() = default;
 
 // ---------------------------------------------------------------------------
-// Context pooling
+// Sub-core plans and context pooling
 
-LaunchEngine::ContextLease::~ContextLease() {
-  if (eng_ != nullptr) eng_->release(ctxs_);
-}
-
-KernelContext* LaunchEngine::acquire(
-    const SubcorePlan& p, LaunchShared* shared, int block_dim,
-    std::uint32_t global_subcore,
-    std::vector<std::unique_ptr<KernelContext>>& out) {
-  auto& pool = p.kind == SubcoreKind::Cube ? cube_pool_ : vec_pool_;
-  std::unique_ptr<KernelContext> ctx;
-  if (!pool.empty()) {
-    ctx = std::move(pool.back());
-    pool.pop_back();
-    ctx->reset(shared, p.block_idx, block_dim, p.sub_idx, global_subcore);
-  } else {
-    ctx = std::make_unique<KernelContext>(cfg_, shared, p.block_idx, block_dim,
-                                          p.kind, p.sub_idx, global_subcore);
+const std::vector<SubcorePlan>& LaunchEngine::plan(LaunchMode mode,
+                                                   int block_dim) {
+  int max_blocks = cfg_.num_ai_cores;
+  const char* what = "MIX launch of ";
+  const char* cores = " AI cores";
+  if (mode == LaunchMode::VectorOnly) {
+    max_blocks = cfg_.num_vec_cores();
+    what = "vector launch of ";
+    cores = " AIV cores";
+  } else if (mode == LaunchMode::CubeOnly) {
+    what = "cube launch of ";
+    cores = " AIC cores";
   }
-  out.push_back(std::move(ctx));
-  return out.back().get();
+  ASCAN_CHECK(block_dim >= 1 && block_dim <= max_blocks,
+              what << block_dim << " blocks exceeds " << max_blocks << cores);
+  std::vector<SubcorePlan>& plan =
+      plans_[static_cast<int>(mode)][static_cast<std::size_t>(block_dim)];
+  if (!plan.empty()) return plan;
+  for (int b = 0; b < block_dim; ++b) {
+    switch (mode) {
+      case LaunchMode::Mix:
+        plan.push_back({b, SubcoreKind::Cube, 0});
+        for (int v = 0; v < cfg_.vec_per_core; ++v) {
+          plan.push_back({b, SubcoreKind::Vector, v});
+        }
+        break;
+      case LaunchMode::VectorOnly:
+        plan.push_back({b, SubcoreKind::Vector, 0});
+        break;
+      case LaunchMode::CubeOnly:
+        plan.push_back({b, SubcoreKind::Cube, 0});
+        break;
+    }
+  }
+  return plan;
 }
 
-LaunchEngine::ContextLease LaunchEngine::lease_contexts(
-    const std::vector<SubcorePlan>& plan, LaunchShared* shared,
-    int block_dim) {
-  ContextLease lease;
-  lease.eng_ = this;
-  lease.ctxs_.reserve(plan.size());
+void LaunchEngine::prepare(const std::vector<SubcorePlan>& plan,
+                           int block_dim) {
+  shared_.reset(static_cast<int>(plan.size()));
+  ctxs_.clear();
+  std::size_t cubes = 0;
+  std::size_t vecs = 0;
   for (std::size_t s = 0; s < plan.size(); ++s) {
-    acquire(plan[s], shared, block_dim, static_cast<std::uint32_t>(s),
-            lease.ctxs_);
+    const SubcorePlan& p = plan[s];
+    const bool cube = p.kind == SubcoreKind::Cube;
+    auto& pool = cube ? cube_pool_ : vec_pool_;
+    std::size_t& used = cube ? cubes : vecs;
+    const auto global_subcore = static_cast<std::uint32_t>(s);
+    if (used == pool.size()) {
+      pool.push_back(std::make_unique<KernelContext>(
+          cfg_, &shared_, p.block_idx, block_dim, p.kind, p.sub_idx,
+          global_subcore));
+    } else {
+      pool[used]->reset(&shared_, p.block_idx, block_dim, p.sub_idx,
+                        global_subcore);
+    }
+    ctxs_.push_back(pool[used++].get());
   }
-  return lease;
-}
-
-void LaunchEngine::release(
-    std::vector<std::unique_ptr<KernelContext>>& ctxs) noexcept {
-  for (auto& ctx : ctxs) {
-    if (ctx == nullptr) continue;
-    (ctx->is_cube() ? cube_pool_ : vec_pool_).push_back(std::move(ctx));
-  }
-  ctxs.clear();
 }
 
 // ---------------------------------------------------------------------------
 // Sub-core dispatch
 
 bool LaunchEngine::run_subcores(const std::vector<SubcorePlan>& plan,
-                                const std::function<void(int)>& body,
-                                const std::function<void()>& poison) {
+                                sim::FnRef<void(int)> body,
+                                sim::FnRef<void()> poison) {
   const int blocks = plan.empty() ? 0 : plan.back().block_idx + 1;
-  const int carriers = std::min(blocks, sim::FiberExecutor::max_carriers());
-  carrier_of_.resize(plan.size());
-  for (std::size_t s = 0; s < plan.size(); ++s) {
-    carrier_of_[s] = plan[s].block_idx % carriers;
-  }
-  return executor_.run(carrier_of_, body, poison);
+  const int per_block =
+      blocks == 0 ? 0 : static_cast<int>(plan.size()) / blocks;
+  return executor_.run(blocks, per_block, body, poison);
 }
 
 // ---------------------------------------------------------------------------
@@ -82,16 +102,15 @@ sim::Report LaunchEngine::replay(const TimingRequest& req) {
                    &scratch_);
 }
 
-sim::Report LaunchEngine::time_lease(ContextLease& lease, LaunchShared& shared,
-                                     const TimingRequest& req) {
-  const std::size_t n = lease.size();
+sim::Report LaunchEngine::time_launch(const TimingRequest& req) {
+  const std::size_t n = ctxs_.size();
   trace_.per_subcore.resize(n);
   trace_.is_cube_subcore.resize(n);
   for (std::size_t s = 0; s < n; ++s) {
-    trace_.per_subcore[s] = std::move(lease[s].trace().mutable_ops());
-    trace_.is_cube_subcore[s] = lease[s].is_cube();
+    trace_.per_subcore[s] = std::move(ctxs_[s]->trace().mutable_ops());
+    trace_.is_cube_subcore[s] = ctxs_[s]->is_cube();
   }
-  trace_.max_op_id = shared.op_ids().load(std::memory_order_relaxed) - 1;
+  trace_.max_op_id = shared_.op_ids().load(std::memory_order_relaxed) - 1;
 
   // Canonical op ids. The shared atomic hands ids out in arrival order,
   // which interleaves the carriers' fibers nondeterministically. The
@@ -119,7 +138,7 @@ sim::Report LaunchEngine::time_lease(ContextLease& lease, LaunchShared& shared,
   // the timing pass succeeds or aborts on an injected fault.
   auto recycle = [&] {
     for (std::size_t s = 0; s < n; ++s) {
-      lease[s].trace().mutable_ops() = std::move(trace_.per_subcore[s]);
+      ctxs_[s]->trace().mutable_ops() = std::move(trace_.per_subcore[s]);
     }
   };
   try {

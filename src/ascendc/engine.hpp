@@ -1,6 +1,8 @@
 // Host execution engine owned by acc::Device: the fiber executor (sub-core
-// bodies as fibers on at most one carrier thread per host core), pooled
-// KernelContexts / trace-op arenas and reusable scheduler scratch.
+// bodies as fibers on the calling thread, joined by helper carriers only
+// for launches that run long), per-shape sub-core plans, the pooled
+// launch state, KernelContexts and trace-op arenas, and reusable scheduler
+// scratch. A warmed launch allocates nothing.
 //
 // The engine holds its own MachineConfig copy so pooled KernelContexts
 // (which keep a reference to it) stay valid even when the owning Device is
@@ -9,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -23,8 +24,11 @@
 
 namespace ascend::acc {
 
-/// Where one sub-core of a launch runs (produced by the planner in
-/// runtime.hpp, consumed by the context pool below).
+enum class LaunchMode { Mix, VectorOnly, CubeOnly };
+
+/// Where one sub-core of a launch runs (produced by LaunchEngine::plan,
+/// consumed by the context pool below). Sub-cores are numbered block by
+/// block, each block's sub-cores consecutive.
 struct SubcorePlan {
   int block_idx;
   SubcoreKind kind;
@@ -42,45 +46,29 @@ class LaunchEngine {
   /// Helper carrier threads alive (at most hardware_concurrency - 1).
   int helper_threads() const { return executor_.helper_threads(); }
 
-  /// RAII lease over pooled per-sub-core contexts: contexts are taken from
-  /// the engine's free lists (or built on first use), reset for the new
-  /// launch, and handed back — arenas and trace capacity intact — when the
-  /// lease is destroyed.
-  class ContextLease {
-   public:
-    ContextLease() = default;
-    ContextLease(ContextLease&& o) noexcept
-        : eng_(o.eng_), ctxs_(std::move(o.ctxs_)) {
-      o.eng_ = nullptr;
-    }
-    ContextLease& operator=(ContextLease&&) = delete;
-    ContextLease(const ContextLease&) = delete;
-    ContextLease& operator=(const ContextLease&) = delete;
-    ~ContextLease();
+  /// The sub-cores of a `block_dim`-block launch in `mode`. Built on first
+  /// use of each (mode, block_dim) and kept for the engine's life. Throws
+  /// if the machine has fewer cores of the mode's kind than `block_dim`.
+  const std::vector<SubcorePlan>& plan(LaunchMode mode, int block_dim);
 
-    KernelContext& operator[](std::size_t i) { return *ctxs_[i]; }
-    std::size_t size() const { return ctxs_.size(); }
-
-   private:
-    friend class LaunchEngine;
-    LaunchEngine* eng_ = nullptr;
-    std::vector<std::unique_ptr<KernelContext>> ctxs_;
-  };
-
-  ContextLease lease_contexts(const std::vector<SubcorePlan>& plan,
-                              LaunchShared* shared, int block_dim);
+  /// Starts a launch of `plan`: re-arms the shared launch state and binds
+  /// one pooled KernelContext per sub-core (built on first use, reset
+  /// afterwards — arenas and trace capacity intact). The contexts stay
+  /// bound until the next prepare().
+  void prepare(const std::vector<SubcorePlan>& plan, int block_dim);
+  KernelContext& context(std::size_t subcore) { return *ctxs_[subcore]; }
+  LaunchShared& shared() { return shared_; }
 
   /// Runs body(s) for every sub-core s of `plan` as a fiber and waits for
-  /// all of them. The launch uses C = min(blocks, host cores) carriers —
-  /// the calling thread and C-1 helpers — and carrier c runs every
-  /// sub-core of the blocks b = c (mod C), so a block's cube->vector flag
-  /// handoffs never leave its carrier. Returns false if the launch
-  /// deadlocked (see sim::FiberExecutor::run); `poison` then made every
-  /// blocked sub-core unwind. `body` must not throw (the launch wrapper
-  /// catches per sub-core).
+  /// all of them. The calling thread claims whole blocks in block order
+  /// and runs them, so a block's cube->vector flag handoffs never leave
+  /// its claimer; helpers join only a launch that runs past
+  /// sim::FiberExecutor::kHelperBudget with blocks unclaimed. Returns
+  /// false if the launch deadlocked (see sim::FiberExecutor::run);
+  /// `poison` then made every blocked sub-core unwind. `body` must not
+  /// throw (the launch wrapper catches per sub-core).
   bool run_subcores(const std::vector<SubcorePlan>& plan,
-                    const std::function<void(int)>& body,
-                    const std::function<void()>& poison);
+                    sim::FnRef<void(int)> body, sim::FnRef<void()> poison);
 
   struct TimingRequest {
     sim::Timeline* timeline = nullptr;
@@ -90,26 +78,25 @@ class LaunchEngine {
     sim::L2Cache* l2 = nullptr;
   };
 
-  /// Gathers the lease's recorded traces, produces the launch Report by
-  /// discrete-event replay and returns the trace-op arenas to the lease's
-  /// builders for reuse. On a FaultError the arenas are recycled before it
-  /// propagates.
-  sim::Report time_lease(ContextLease& lease, LaunchShared& shared,
-                         const TimingRequest& req);
+  /// Gathers the bound contexts' recorded traces, produces the launch
+  /// Report by discrete-event replay and returns the trace-op arenas to
+  /// the contexts' builders for reuse. On a FaultError the arenas are
+  /// recycled before it propagates.
+  sim::Report time_launch(const TimingRequest& req);
 
  private:
-  KernelContext* acquire(const SubcorePlan& p, LaunchShared* shared,
-                         int block_dim, std::uint32_t global_subcore,
-                         std::vector<std::unique_ptr<KernelContext>>& out);
-  void release(std::vector<std::unique_ptr<KernelContext>>& ctxs) noexcept;
   sim::Report replay(const TimingRequest& req);
 
   sim::MachineConfig cfg_;
   sim::FiberExecutor executor_;
-  std::vector<int> carrier_of_;  ///< per-launch sub-core -> carrier scratch
+  /// plans_[mode][block_dim], empty until first used.
+  std::vector<std::vector<SubcorePlan>> plans_[3];
+  LaunchShared shared_;
   sim::SchedScratch scratch_;
+  /// Pooled contexts by kind; a launch binds the first ones it needs.
   std::vector<std::unique_ptr<KernelContext>> cube_pool_;
   std::vector<std::unique_ptr<KernelContext>> vec_pool_;
+  std::vector<KernelContext*> ctxs_;   ///< this launch's, by sub-core
   sim::KernelTrace trace_;             ///< reused across launches
   std::vector<std::uint32_t> id_map_;  ///< canonical-id renumber scratch
 };

@@ -1,5 +1,5 @@
 // Kernel launcher: runs a kernel body once per logical sub-core (each as a
-// fiber on one of at most one carrier thread per host core), merges the
+// fiber, on at most one carrier thread per host core), merges the
 // recorded traces, and feeds them to the discrete-event scheduler to
 // obtain the simulated execution report.
 //
@@ -12,10 +12,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <exception>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -27,8 +26,6 @@
 #include "sim/scheduler.hpp"
 
 namespace ascend::acc {
-
-enum class LaunchMode { Mix, VectorOnly, CubeOnly };
 
 /// Type-erased span of a GM output buffer registered with a launch so a
 /// faulted attempt can be rolled back (see LaunchSpec::outputs).
@@ -53,67 +50,30 @@ struct LaunchSpec {
   /// which is disabled unless cfg.watchdog_s is set). A hang or
   /// pathological straggler aborts with sim::TimeoutError at the deadline.
   double watchdog_s = 0;
-  /// GM output buffers of the kernel. When the device has an armed fault
-  /// injector they are snapshotted before the launch and restored if the
-  /// launch aborts on a fault, making launches idempotent-relaunchable: a
-  /// failed attempt never leaves partial writes visible.
-  std::vector<GmGuard> outputs = {};
+  /// GM output buffers of the kernel (at most two; unused entries stay
+  /// null). When the device has an armed fault injector they are
+  /// snapshotted before the launch and restored if the launch aborts on a
+  /// fault, making launches idempotent-relaunchable: a failed attempt never
+  /// leaves partial writes visible. Held inline so a launch allocates
+  /// nothing for them.
+  std::array<GmGuard, 2> outputs = {};
 };
-
-namespace detail {
-
-inline std::vector<SubcorePlan> plan_subcores(const sim::MachineConfig& cfg,
-                                              const LaunchSpec& spec) {
-  std::vector<SubcorePlan> plan;
-  switch (spec.mode) {
-    case LaunchMode::Mix:
-      ASCAN_CHECK(spec.block_dim >= 1 && spec.block_dim <= cfg.num_ai_cores,
-                  "MIX launch of " << spec.block_dim << " blocks exceeds "
-                                   << cfg.num_ai_cores << " AI cores");
-      for (int b = 0; b < spec.block_dim; ++b) {
-        plan.push_back({b, SubcoreKind::Cube, 0});
-        for (int v = 0; v < cfg.vec_per_core; ++v) {
-          plan.push_back({b, SubcoreKind::Vector, v});
-        }
-      }
-      break;
-    case LaunchMode::VectorOnly:
-      ASCAN_CHECK(spec.block_dim >= 1 && spec.block_dim <= cfg.num_vec_cores(),
-                  "vector launch of " << spec.block_dim << " blocks exceeds "
-                                      << cfg.num_vec_cores() << " AIV cores");
-      for (int b = 0; b < spec.block_dim; ++b) {
-        plan.push_back({b, SubcoreKind::Vector, 0});
-      }
-      break;
-    case LaunchMode::CubeOnly:
-      ASCAN_CHECK(spec.block_dim >= 1 && spec.block_dim <= cfg.num_ai_cores,
-                  "cube launch of " << spec.block_dim << " blocks exceeds "
-                                    << cfg.num_ai_cores << " AIC cores");
-      for (int b = 0; b < spec.block_dim; ++b) {
-        plan.push_back({b, SubcoreKind::Cube, 0});
-      }
-      break;
-  }
-  return plan;
-}
-
-}  // namespace detail
 
 /// Launches `body(ctx)` per sub-core and returns the simulated report.
 /// Functional effects on GM buffers happen eagerly; the report's time is
 /// what the 910B would take.
 ///
 /// Host execution runs on the device's LaunchEngine: sub-core bodies run as
-/// fibers on the calling thread and the device's helper carriers, and
-/// kernel contexts, trace arenas and fiber stacks are reused across
-/// launches. Reports, traces and GM effects do not depend on how the
+/// fibers on the calling thread, joined by the device's helper carriers
+/// only when the launch runs long, and kernel contexts, trace arenas and
+/// fiber stacks are reused across launches; a warmed launch allocates
+/// nothing. Reports, traces and GM effects do not depend on how the
 /// fibers interleave. A launch whose sub-cores all block on barriers or
 /// flags that no sibling will release throws an Error naming it.
 template <typename F>
 sim::Report launch(Device& dev, const LaunchSpec& spec, F&& body) {
   LaunchEngine& eng = dev.engine();
-  const sim::MachineConfig& cfg = eng.config();
-  const auto plan = detail::plan_subcores(cfg, spec);
+  const std::vector<SubcorePlan>& plan = eng.plan(spec.mode, spec.block_dim);
   const int n = static_cast<int>(plan.size());
 
   // Fault-aware launches snapshot their registered outputs up front: the
@@ -123,33 +83,28 @@ sim::Report launch(Device& dev, const LaunchSpec& spec, F&& body) {
   const bool fault_armed = injector != nullptr && injector->armed();
   std::vector<std::vector<std::byte>> output_snapshots;
   if (fault_armed) {
-    output_snapshots.reserve(spec.outputs.size());
     for (const GmGuard& g : spec.outputs) {
       output_snapshots.emplace_back(g.data, g.data + g.bytes);
     }
   }
 
-  LaunchShared shared(n);
-  LaunchEngine::ContextLease ctxs =
-      eng.lease_contexts(plan, &shared, spec.block_dim);
-
+  eng.prepare(plan, spec.block_dim);
+  LaunchShared& shared = eng.shared();
   std::exception_ptr first_error;
   std::mutex error_mu;
-  const bool finished = eng.run_subcores(
-      plan,
-      [&](int s) {
-        try {
-          body(ctxs[static_cast<std::size_t>(s)]);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lk(error_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-          shared.poison();
-        }
-      },
-      [&] { shared.poison(); });
-  if (!finished) {
+  const auto run_subcore = [&](int s) {
+    try {
+      body(eng.context(static_cast<std::size_t>(s)));
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lk(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+      shared.poison();
+    }
+  };
+  const auto poison = [&] { shared.poison(); };
+  if (!eng.run_subcores(plan, run_subcore, poison)) {
     throw Error(std::string("launch '") + spec.name +
                 "' deadlocked: every sub-core still running is blocked on a "
                 "SyncAll or cross-core flag that no sibling will release");
@@ -162,7 +117,7 @@ sim::Report launch(Device& dev, const LaunchSpec& spec, F&& body) {
   req.injector = fault_armed ? injector : nullptr;
   req.l2 = &dev.l2();
   try {
-    return eng.time_lease(ctxs, shared, req);
+    return eng.time_launch(req);
   } catch (sim::FaultError& e) {
     for (std::size_t g = 0; g < output_snapshots.size(); ++g) {
       std::copy(output_snapshots[g].begin(), output_snapshots[g].end(),

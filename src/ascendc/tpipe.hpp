@@ -9,8 +9,8 @@
 // to two", exactly as the paper describes).
 #pragma once
 
-#include <deque>
-#include <vector>
+#include <array>
+#include <cstdint>
 
 #include "ascendc/context.hpp"
 #include "ascendc/tensor.hpp"
@@ -19,6 +19,10 @@ namespace ascend::acc {
 
 class TQue {
  public:
+  /// Deepest queue supported; TPipe::InitBuffer rejects a deeper one. The
+  /// slots and their FIFOs live inline, so a TQue never allocates.
+  static constexpr int kMaxDepth = 4;
+
   TQue(KernelContext& ctx, TPosition pos) : ctx_(&ctx), pos_(pos) {}
 
   TQue(const TQue&) = delete;
@@ -31,9 +35,7 @@ class TQue {
                 "TQue(" << tposition_name(pos_)
                         << ") has no free slot: AllocTensor without a "
                            "matching FreeTensor, or depth too small");
-    const std::size_t slot = free_.front();
-    free_.pop_front();
-    Slot& s = slots_[slot];
+    Slot& s = slots_[free_.pop()];
     return LocalTensor<T>(reinterpret_cast<T*>(s.data),
                           slot_bytes_ / sizeof(T), pos_, &s.state);
   }
@@ -41,7 +43,7 @@ class TQue {
   /// Publishes a produced tensor to the consumer side.
   template <typename T>
   void EnQue(const LocalTensor<T>& t) {
-    queued_.push_back(slot_of(t.state()));
+    queued_.push(slot_of(t.state()));
   }
 
   /// Retrieves the oldest published tensor.
@@ -49,9 +51,7 @@ class TQue {
   LocalTensor<T> DeQue() {
     ASCAN_CHECK(!queued_.empty(), "DeQue on empty TQue("
                                       << tposition_name(pos_) << ")");
-    const std::size_t slot = queued_.front();
-    queued_.pop_front();
-    Slot& s = slots_[slot];
+    Slot& s = slots_[queued_.pop()];
     return LocalTensor<T>(reinterpret_cast<T*>(s.data),
                           slot_bytes_ / sizeof(T), pos_, &s.state);
   }
@@ -60,11 +60,11 @@ class TQue {
   /// producer of this slot still orders after our last read).
   template <typename T>
   void FreeTensor(const LocalTensor<T>& t) {
-    free_.push_back(slot_of(t.state()));
+    free_.push(slot_of(t.state()));
   }
 
   TPosition position() const { return pos_; }
-  int depth() const { return static_cast<int>(slots_.size()); }
+  int depth() const { return depth_; }
 
  private:
   friend class TPipe;
@@ -74,8 +74,32 @@ class TQue {
     BufferState state;
   };
 
+  /// FIFO of slot indices in a fixed ring: slots come back out in the
+  /// order they went in, which fixes every slot's hazard history.
+  class SlotFifo {
+   public:
+    bool empty() const { return count_ == 0; }
+    void push(std::size_t slot) {
+      ASCAN_CHECK(count_ < kMaxDepth,
+                  "TQue: more tensors returned than it has slots");
+      at_[(head_ + count_) % kMaxDepth] = static_cast<std::uint8_t>(slot);
+      ++count_;
+    }
+    std::size_t pop() {
+      const std::size_t slot = at_[head_];
+      head_ = (head_ + 1) % kMaxDepth;
+      --count_;
+      return slot;
+    }
+
+   private:
+    std::array<std::uint8_t, kMaxDepth> at_{};
+    int head_ = 0;
+    int count_ = 0;
+  };
+
   std::size_t slot_of(const BufferState* st) const {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
+    for (std::size_t i = 0; i < static_cast<std::size_t>(depth_); ++i) {
       if (&slots_[i].state == st) return i;
     }
     throw Error("tensor does not belong to this TQue");
@@ -84,9 +108,10 @@ class TQue {
   KernelContext* ctx_;
   TPosition pos_;
   std::size_t slot_bytes_ = 0;
-  std::vector<Slot> slots_;
-  std::deque<std::size_t> free_;
-  std::deque<std::size_t> queued_;
+  int depth_ = 0;
+  std::array<Slot, kMaxDepth> slots_{};
+  SlotFifo free_;
+  SlotFifo queued_;
 };
 
 /// Persistent scratch buffer without queue semantics (AscendC TBuf).
@@ -126,14 +151,16 @@ class TPipe {
 
   void InitBuffer(TQue& que, int num, std::size_t bytes_per_slot) {
     ASCAN_CHECK(num >= 1 && bytes_per_slot > 0);
-    ASCAN_CHECK(que.slots_.empty(), "TQue already initialised");
+    ASCAN_CHECK(num <= TQue::kMaxDepth, "TQue depth " << num << " exceeds "
+                                                     << TQue::kMaxDepth);
+    ASCAN_CHECK(que.depth_ == 0, "TQue already initialised");
     que.slot_bytes_ = bytes_per_slot;
-    que.slots_.resize(static_cast<std::size_t>(num));
+    que.depth_ = num;
     for (int i = 0; i < num; ++i) {
       TQue::Slot& s = que.slots_[static_cast<std::size_t>(i)];
       s.data = ctx_->arena_alloc(que.pos_, bytes_per_slot);
       track_extent(s.state, que.pos_, s.data, bytes_per_slot);
-      que.free_.push_back(static_cast<std::size_t>(i));
+      que.free_.push(static_cast<std::size_t>(i));
     }
   }
 

@@ -83,14 +83,14 @@ struct ClusterOptions {
   /// ...unless this per-device override is non-empty (size must equal
   /// num_devices). Heterogeneous clusters — skewed core counts — are how
   /// the skew tests provoke imbalance.
-  std::vector<MachineConfig> device_machines;
+  std::vector<MachineConfig> device_machines{};
   RetryPolicy retry{};
   /// Fault plan armed on every device when any()...
   FaultPlan fault_plan{};
   /// ...unless this per-device override is non-empty (size must equal
   /// num_devices; entries with !any() leave that device clean). Chaos
   /// tests arm a single bad device this way.
-  std::vector<FaultPlan> device_fault_plans;
+  std::vector<FaultPlan> device_fault_plans{};
 
   bool work_stealing = true;
   /// Minimum bulk backlog a victim must hold before a batch may be stolen
@@ -106,7 +106,7 @@ struct ClusterOptions {
   /// devices leave the placement, spill and steal sets; their queued work
   /// drains to healthy shards and their faulted in-flight batches fail
   /// over with tile-checkpoint resume.
-  HealthPolicy health;
+  HealthPolicy health{};
   /// Brownout: when the placeable (Healthy + Degraded) fraction of the
   /// cluster drops below this, bulk submissions are shed with a typed
   /// rejection ("brownout" in the reason) so the surviving devices keep

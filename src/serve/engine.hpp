@@ -96,7 +96,7 @@ struct EngineOptions {
   /// waits to take a whole formed bulk batch from a sibling device instead
   /// of sleeping until local work arrives. Must return an empty vector
   /// when nothing is stealable; must never block on this engine's locks.
-  std::function<std::vector<Pending>()> steal_source;
+  std::function<std::vector<Pending>()> steal_source{};
   double steal_poll_s = 100e-6;  ///< idle poll cadence when stealing is on
 
   /// Cluster hook: per-launch outcome feed for the device health monitor.
@@ -108,14 +108,14 @@ struct EngineOptions {
   /// this engine's locks.
   std::function<void(bool faulted, std::uint32_t retries,
                      std::uint32_t canaries)>
-      outcome_sink;
+      outcome_sink{};
   /// Cluster hook: every unresolved member of a faulted batch is offered
   /// here — each carries its tile checkpoint in Pending::resume — so the
   /// cluster can re-dispatch it to a healthy sibling. Returns the pendings
   /// it could NOT re-dispatch; those fall back to this engine's local
   /// isolation path. Called with no engine lock held. When unset, every
   /// member falls back locally (standalone-engine behaviour).
-  std::function<std::vector<Pending>(std::vector<Pending>)> failover_sink;
+  std::function<std::vector<Pending>(std::vector<Pending>)> failover_sink{};
 };
 
 class Engine {

@@ -10,6 +10,19 @@ constexpr double kEps = 1e-15;      // seconds; completion-time tolerance
 constexpr double kByteEps = 1e-6;   // bytes considered "done"
 }  // namespace
 
+void HbmArbiter::reset(double hbm_bytes_per_s, double l2_bytes_per_s) {
+  hbm_bw_ = hbm_bytes_per_s;
+  l2_bw_ = l2_bytes_per_s;
+  last_update_ = 0;
+  next_completion_ = kInf;
+  hbm_busy_time_ = 0;
+  hbm_active_ = 0;
+  flows_.clear();
+  active_slots_.clear();
+  free_slots_cached_.clear();
+  done_.clear();
+}
+
 std::uint32_t HbmArbiter::add_flow(double now, double bytes, double rate_cap,
                                    double hbm_frac, double l2_frac) {
   ASCAN_ASSERT(bytes > 0 && rate_cap > 0);

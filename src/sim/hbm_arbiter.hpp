@@ -31,6 +31,11 @@ class HbmArbiter {
   HbmArbiter(double hbm_bytes_per_s, double l2_bytes_per_s)
       : hbm_bw_(hbm_bytes_per_s), l2_bw_(l2_bytes_per_s) {}
 
+  /// Returns to the freshly constructed state with new pool bandwidths,
+  /// keeping the vectors' capacity: a run on a reset arbiter hands out the
+  /// same handles and rates as one on a new arbiter.
+  void reset(double hbm_bytes_per_s, double l2_bytes_per_s);
+
   /// Registers a transfer starting at time `now`. The flow finishes when
   /// `bytes` have streamed at the assigned rate r; it consumes r*hbm_frac
   /// from the HBM pool and r*l2_frac from the L2 pool while active.

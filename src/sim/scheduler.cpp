@@ -23,6 +23,14 @@ struct OpState {
   bool started = false;
   bool engine_released = false;
 };
+
+using Event = std::pair<double, std::uint32_t>;  // (time, op id)
+
+/// Min-heap of pending completions whose storage outlives one run.
+struct EventQueue
+    : std::priority_queue<Event, std::vector<Event>, std::greater<>> {
+  void clear() { c.clear(); }
+};
 }  // namespace
 
 // Every per-launch working structure of the hot loop lives here so a
@@ -61,6 +69,9 @@ struct SchedScratch::Impl {
   // Fault decisions.
   std::vector<FaultKind> op_fault;
   std::vector<double> subcore_scale;
+  // GM bandwidth arbitration and the event heap; reset per run.
+  HbmArbiter arbiter{0, 0};
+  EventQueue events;
 };
 
 SchedScratch::SchedScratch() : impl_(std::make_unique<Impl>()) {}
@@ -69,9 +80,12 @@ SchedScratch::~SchedScratch() = default;
 Report Scheduler::run(const KernelTrace& trace, Timeline* timeline,
                       const SchedulerFaults& faults, SchedScratch* scratch) {
   // Callers without a persistent scratch get a run-local one.
-  SchedScratch local_scratch;
-  SchedScratch::Impl& sc = scratch != nullptr ? *scratch->impl_
-                                              : *local_scratch.impl_;
+  std::unique_ptr<SchedScratch> local_scratch;
+  if (scratch == nullptr) {
+    local_scratch = std::make_unique<SchedScratch>();
+    scratch = local_scratch.get();
+  }
+  SchedScratch::Impl& sc = *scratch->impl_;
 
   Report rep;
   rep.launches = 1;
@@ -203,8 +217,8 @@ Report Scheduler::run(const KernelTrace& trace, Timeline* timeline,
   std::uint64_t hangs_started = 0;
   int first_hang_subcore = -1;
 
-  HbmArbiter arbiter(cfg_.hbm_bandwidth * cfg_.hbm_efficiency,
-                     cfg_.l2_bandwidth);
+  HbmArbiter& arbiter = sc.arbiter;
+  arbiter.reset(cfg_.hbm_bandwidth * cfg_.hbm_efficiency, cfg_.l2_bandwidth);
 
   // Aborts the run at simulated time `t`, surfacing the partial report
   // inside a typed error so callers can account for the wasted attempt.
@@ -228,8 +242,8 @@ Report Scheduler::run(const KernelTrace& trace, Timeline* timeline,
     }
   };
 
-  using Event = std::pair<double, std::uint32_t>;  // (time, op id)
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+  EventQueue& events = sc.events;
+  events.clear();  // an aborted run may have left events behind
   sc.flow_to_op.clear();  // flow handle -> op id; 0 = no in-flight op
 
   double now = cfg_.launch_overhead_s;

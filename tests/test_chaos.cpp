@@ -445,7 +445,9 @@ TEST(Chaos, ClusterQuarantinesDeadDeviceAndResumesFromTileCheckpoints) {
   cluster.shutdown(ShutdownMode::Drain);
   EXPECT_EQ(cluster.device_health(bad), HealthState::Quarantined);
   for (int d = 0; d < 4; ++d) {
-    if (d != bad) EXPECT_EQ(cluster.device_health(d), HealthState::Healthy);
+    if (d != bad) {
+      EXPECT_EQ(cluster.device_health(d), HealthState::Healthy);
+    }
   }
   const auto m = cluster.metrics();
   EXPECT_EQ(m.admitted, m.completed);  // every admitted request finished Ok

@@ -3,6 +3,8 @@
 // golden runs (tests/golden/executor.txt) for every operator family — and a
 // launch that can never finish must be reported, not hang.
 #include <algorithm>
+#include <cfenv>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -35,6 +37,18 @@ std::vector<half> distinct_keys(std::size_t n) {
     x[i] = half(static_cast<float>(p) - static_cast<float>(n / 2));
   }
   return x;
+}
+
+/// Busy-waits, without yielding, past the executor's helper budget.
+void spin_past_budget() {
+  const auto until = std::chrono::steady_clock::now() +
+                     4 * sim::FiberExecutor::kHelperBudget;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+int host_cores() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 void expect_golden(const std::string& key, const sim::Report& r,
@@ -235,6 +249,174 @@ TEST(Executor, HelperThreadsStayBelowHostCores) {
   (void)kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 8192, 0);
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   EXPECT_LE(dev.engine().helper_threads(), std::max(hw, 1) - 1);
+}
+
+TEST(Executor, OneBlockLaunchWakesNoHelper) {
+  // However long it runs, a launch with nothing to hand out runs on the
+  // calling thread alone.
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  (void)acc::launch(dev,
+                    {.block_dim = 1, .mode = acc::LaunchMode::Mix,
+                     .name = "one_block"},
+                    [](acc::KernelContext& c) {
+                      spin_past_budget();
+                      c.SyncAll();
+                    });
+  EXPECT_EQ(dev.engine().helper_threads(), 0);
+}
+
+TEST(Executor, LongLaunchRecruitsHelpers) {
+  if (host_cores() < 2) GTEST_SKIP() << "one host core: no helpers to wake";
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  (void)acc::launch(dev,
+                    {.block_dim = 8, .mode = acc::LaunchMode::VectorOnly,
+                     .name = "long_blocks"},
+                    [](acc::KernelContext&) { spin_past_budget(); });
+  EXPECT_GE(dev.engine().helper_threads(), 1);
+  EXPECT_LE(dev.engine().helper_threads(), host_cores() - 1);
+}
+
+TEST(Executor, FibersNeverMigrate) {
+  // Each sub-core records its thread at its start and after every flag
+  // wait and SyncAll: a fiber resumes where it started, and all sub-cores
+  // of a block run on the thread that claimed the block — whether the
+  // launch stays on the caller or recruits helpers part-way.
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  const int blocks = dev.config().num_ai_cores;
+  const int per_block = 1 + dev.config().vec_per_core;
+  for (const bool spin : {false, true}) {
+    std::vector<std::vector<std::thread::id>> seen(
+        static_cast<std::size_t>(blocks * per_block));
+    (void)acc::launch(
+        dev,
+        {.block_dim = blocks, .mode = acc::LaunchMode::Mix,
+         .name = "no_migration"},
+        [&](acc::KernelContext& c) {
+          const int b = c.GetBlockIdx();
+          auto& mine = seen[static_cast<std::size_t>(
+              b * per_block + (c.is_cube() ? 0 : 1 + c.GetSubBlockIdx()))];
+          mine.push_back(std::this_thread::get_id());
+          if (spin) spin_past_budget();
+          auto& ready = c.shared().flags("ready", blocks);
+          if (c.is_cube()) {
+            ready.set(c, static_cast<std::size_t>(b));
+          } else {
+            ready.wait(c, static_cast<std::size_t>(b));
+            mine.push_back(std::this_thread::get_id());
+          }
+          for (int round = 0; round < 2; ++round) {
+            c.SyncAll();
+            mine.push_back(std::this_thread::get_id());
+          }
+        });
+    for (int b = 0; b < blocks; ++b) {
+      const std::thread::id owner =
+          seen[static_cast<std::size_t>(b * per_block)].front();
+      for (int i = 0; i < per_block; ++i) {
+        for (const std::thread::id t :
+             seen[static_cast<std::size_t>(b * per_block + i)]) {
+          EXPECT_EQ(t, owner) << "block " << b << " sub-core " << i
+                              << (spin ? " (helpers)" : "");
+        }
+      }
+    }
+  }
+}
+
+TEST(Executor, ReverseCrossBlockDependencyCompletes) {
+  // Block 0 waits on a flag only the last block sets: its claimer must
+  // keep claiming blocks past the parked one, and a helper holding the
+  // last block must count as live while the others idle.
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  const int blocks = dev.config().num_vec_cores();
+  for (const bool spin : {false, true}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      EXPECT_NO_THROW((void)acc::launch(
+          dev,
+          {.block_dim = blocks, .mode = acc::LaunchMode::VectorOnly,
+           .name = "reverse_dependency"},
+          [&](acc::KernelContext& c) {
+            auto& last_done = c.shared().flags("last_done", 1);
+            if (spin) spin_past_budget();
+            if (c.GetBlockIdx() == 0) last_done.wait(c, 0);
+            if (c.GetBlockIdx() == blocks - 1) last_done.set(c, 0);
+          }))
+          << (spin ? "with helpers" : "on the caller");
+    }
+  }
+}
+
+TEST(Executor, DeadlockAfterHelpersJoinedReportsLaunch) {
+  // Every block runs past the budget, so helpers join before any sub-core
+  // blocks; the deadlock count must include them and still fire.
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  try {
+    (void)acc::launch(dev,
+                      {.block_dim = 8, .mode = acc::LaunchMode::VectorOnly,
+                       .name = "late_deadlock"},
+                      [](acc::KernelContext& c) {
+                        spin_past_budget();
+                        c.shared().flags("never_set", 1).wait(c, 0);
+                      });
+    ADD_FAILURE() << "deadlocked launch returned";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("late_deadlock"), std::string::npos) << what;
+    EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+  }
+  if (host_cores() >= 2) {
+    EXPECT_GE(dev.engine().helper_threads(), 1);
+  }
+}
+
+/// Whether SSE arithmetic currently rounds up (the x87 side is what
+/// fegetround reads).
+bool sse_rounds_up() {
+  volatile float one = 1.0f;
+  volatile float tiny = 1e-30f;
+  return one + tiny > 1.0f;
+}
+
+TEST(Executor, FpControlStateStaysWithItsFiber) {
+  // The cube sub-core switches to upward rounding and parks; the vector
+  // sub-cores that run meanwhile, and the carrier after the launch, still
+  // round to nearest, and the cube resumes rounding upward.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  bool cube_parked = false;
+  int cube_resumed_mode = -1;
+  bool cube_resumed_up = false;
+  int vec_mode[2] = {-1, -1};
+  bool vec_up[2] = {true, true};
+  bool vec_after_park[2] = {false, false};
+  (void)acc::launch(
+      dev, {.block_dim = 1, .mode = acc::LaunchMode::Mix, .name = "fp_state"},
+      [&](acc::KernelContext& c) {
+        auto& go = c.shared().flags("go", 1);
+        if (c.is_cube()) {
+          std::fesetround(FE_UPWARD);
+          cube_parked = true;
+          go.wait(c, 0);
+          cube_resumed_mode = std::fegetround();
+          cube_resumed_up = sse_rounds_up();
+          return;  // finishes still rounding upward
+        }
+        const int v = c.GetSubBlockIdx();
+        vec_after_park[v] = cube_parked;
+        vec_mode[v] = std::fegetround();
+        vec_up[v] = sse_rounds_up();
+        if (v == 0) go.set(c, 0);
+      });
+  EXPECT_EQ(cube_resumed_mode, FE_UPWARD);
+  EXPECT_TRUE(cube_resumed_up);
+  for (int v = 0; v < 2; ++v) {
+    EXPECT_TRUE(vec_after_park[v]) << v;
+    EXPECT_EQ(vec_mode[v], FE_TONEAREST) << v;
+    EXPECT_FALSE(vec_up[v]) << v;
+  }
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_FALSE(sse_rounds_up());
+  std::fesetround(FE_TONEAREST);
 }
 
 TEST(Executor, UnsetFlagReportsDeadlock) {

@@ -88,7 +88,9 @@ TEST(L2Cache, WorkingSetWithinCapacityStaysResident) {
       hit += l2.access(0x200000 + off, 8192, false).hit_bytes;
       total += 8192;
     }
-    if (sweep == 1) EXPECT_EQ(hit, total);
+    if (sweep == 1) {
+      EXPECT_EQ(hit, total);
+    }
   }
 }
 

@@ -64,7 +64,9 @@ TEST(ScanStrategyNoise, LookbackWithinFp32Tolerance) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     acc += double(float(host[i]));
-    if (i % 997 == 0 || i == n - 1) EXPECT_NEAR(y[i], acc, 0.25) << i;
+    if (i % 997 == 0 || i == n - 1) {
+      EXPECT_NEAR(y[i], acc, 0.25) << i;
+    }
   }
 }
 

@@ -75,7 +75,9 @@ TEST(SegScanEdge, SingleSegmentEqualsPlainScan) {
   double racc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     racc += double(float(x[i]));
-    if (i % 37 == 0 || i == n - 1) ASSERT_EQ(gy[i], racc) << i;
+    if (i % 37 == 0 || i == n - 1) {
+      ASSERT_EQ(gy[i], racc) << i;
+    }
   }
   (void)acc;
 }

@@ -91,7 +91,9 @@ TEST(BatcherProperty, RandomizedStreamPopsEveryRequestExactlyOnce) {
       ASSERT_LE(batch.size(), policy.max_batch);
       ASSERT_EQ(q.size(), before - batch.size());  // nothing lost or grown
       const GroupKey key = group_key(batch[0].req);
-      if (batch[0].req.kind == OpKind::Sort) ASSERT_EQ(batch.size(), 1u);
+      if (batch[0].req.kind == OpKind::Sort) {
+        ASSERT_EQ(batch.size(), 1u);
+      }
       std::map<Priority, std::uint64_t> last_seq;
       for (const auto& p : batch) {
         ASSERT_TRUE(group_key(p.req) == key) << "mixed GroupKey in a batch";
@@ -100,7 +102,9 @@ TEST(BatcherProperty, RandomizedStreamPopsEveryRequestExactlyOnce) {
         popped[p.seq] = true;
         // FIFO within a lane: admission order is preserved per priority.
         auto it = last_seq.find(p.req.priority);
-        if (it != last_seq.end()) ASSERT_GT(p.seq, it->second);
+        if (it != last_seq.end()) {
+          ASSERT_GT(p.seq, it->second);
+        }
         last_seq[p.req.priority] = p.seq;
       }
     }

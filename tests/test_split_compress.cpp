@@ -100,7 +100,9 @@ TEST(SplitIndU16, EncodedKeysPath) {
         ++pos;
       }
     }
-    if (want_flag == 1) ASSERT_EQ(pos, r.num_true);
+    if (want_flag == 1) {
+      ASSERT_EQ(pos, r.num_true);
+    }
   }
 }
 
